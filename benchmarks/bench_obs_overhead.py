@@ -2,8 +2,9 @@
 
 The null-object contract says an instrumented simulator with
 ``NULL_TRACER``/``NULL_METRICS`` attached costs one attribute load and a
-branch per would-be event. This harness times the same seeded workload
-under several observability configurations, on both simulation cores —
+branch per would-be event. This harness times the same seeded
+dedup/agile ``Simulator`` run under several observability
+configurations —
 
 * **baseline**     — plain construction, no observability arguments;
 * **tracing off**  — explicit ``attach_observability()`` with the
@@ -18,15 +19,10 @@ under several observability configurations, on both simulation cores —
 and enforces the ISSUE acceptance bound twice: tracing-off *and*
 metrics-off wall time within 2 % of baseline (with a small absolute
 floor so sub-millisecond timing jitter on tiny REPRO_OPS runs cannot
-flake the suite). The reference core runs ``Simulator``; the fastpath
-core times ``access_batch`` directly, where the metrics guards sit
-inside the inline loop's flush path. Full tracing/metrics are reported
-for scale but have no bound — materializing events is the price of the
-data (and tracing intentionally forces the fastpath out of its inline
-loop).
+flake the suite). Full tracing/metrics are reported for scale but have
+no bound — materializing events is the price of the data.
 """
 
-import random
 import time
 
 from repro.bench import bench_target
@@ -63,7 +59,7 @@ def _configs():
     )
 
 
-def _timed_reference(ops, attach=None):
+def _timed(ops, attach=None):
     """Best-of-N wall time for one seeded dedup/agile Simulator run."""
     best = None
     result = None
@@ -80,54 +76,20 @@ def _timed_reference(ops, attach=None):
     return best, result
 
 
-def _timed_fastpath(ops, attach=None):
-    """Best-of-N wall time for one seeded stream through ``access_batch``.
-
-    The stream shape mirrors the core-throughput "l1" scenario: a
-    64-page working set, so the metrics guards in the inline flush path
-    dominate (the configuration the <=2% bound is really about).
-    """
-    pages = 64
-    rng = random.Random(7)
-    best = None
-    result = None
-    for _ in range(TIMING_ROUNDS):
-        system = System(sandy_bridge_config(mode="agile", core="fastpath"))
-        if attach is not None:
-            attach(system)
-        proc = system.kernel.create_process()
-        base = system.kernel.mmap(proc, size=pages * 4096)
-        vas = [base + 4096 * rng.randrange(pages) for _ in range(ops)]
-        system.access_batch(vas[: max(1000, ops // 20)])  # warm
-        begin = time.perf_counter()
-        system.access_batch(vas)
-        elapsed = time.perf_counter() - begin
-        if best is None or elapsed < best:
-            best, result = elapsed, system.collect_metrics()
-    return best, result
-
-
-def _measure(core, ops):
-    """Time every configuration on one core; returns ``{label: (s, m)}``."""
-    timer = _timed_reference if core == "reference" else _timed_fastpath
-    return {label: timer(ops, attach)
-            for label, attach in _configs()}
-
-
-def _check(core, timings):
+def _check(timings):
     """The invariants both the pytest harness and ``repro bench`` assert."""
     baseline_s, baseline = timings["baseline"]
     # Instrumentation must never perturb results, on or off.
     for label, (_s, metrics) in timings.items():
-        assert metrics.to_dict() == baseline.to_dict(), (core, label)
+        assert metrics.to_dict() == baseline.to_dict(), label
     # The acceptance bound, with an absolute jitter floor.
     for label in ("tracing_off", "metrics_off"):
         seconds, _metrics = timings[label]
         overhead = (seconds - baseline_s) / baseline_s
         assert (seconds - baseline_s <= ABS_FLOOR_SECONDS
                 or overhead <= MAX_OFF_OVERHEAD), (
-            "%s %s overhead %s exceeds %s"
-            % (core, label, pct(overhead), pct(MAX_OFF_OVERHEAD)))
+            "%s overhead %s exceeds %s"
+            % (label, pct(overhead), pct(MAX_OFF_OVERHEAD)))
 
 
 def _rows(timings):
@@ -141,49 +103,37 @@ def _rows(timings):
     return rows
 
 
-def _run_core(core, ops):
-    timings = _measure(core, ops)
-    _check(core, timings)
+def _run(ops):
+    """Time and check every configuration; returns ``{label: (s, m)}``."""
+    timings = {label: _timed(ops, attach) for label, attach in _configs()}
+    _check(timings)
     return timings
 
 
-def test_observability_off_is_free_reference(benchmark):
-    timings = run_once(benchmark, lambda: _run_core("reference", DEFAULT_OPS))
+def test_observability_off_is_free(benchmark):
+    timings = run_once(benchmark, lambda: _run(DEFAULT_OPS))
     text = format_table(
         ("Configuration", "best-of-%d s" % TIMING_ROUNDS, "vs baseline"),
         _rows(timings),
-        title=("Observability overhead, reference core — dedup/agile, "
+        title=("Observability overhead — dedup/agile, "
                "%d ops (acceptance: off <= %s)"
                % (DEFAULT_OPS, pct(MAX_OFF_OVERHEAD))),
     )
     emit("obs_overhead", text)
 
 
-def test_observability_off_is_free_fastpath(benchmark):
-    timings = run_once(benchmark, lambda: _run_core("fastpath", DEFAULT_OPS))
-    text = format_table(
-        ("Configuration", "best-of-%d s" % TIMING_ROUNDS, "vs baseline"),
-        _rows(timings),
-        title=("Observability overhead, fastpath core — access_batch, "
-               "%d ops (acceptance: off <= %s)"
-               % (DEFAULT_OPS, pct(MAX_OFF_OVERHEAD))),
-    )
-    emit("obs_overhead_fastpath", text)
-
-
 @bench_target("obs_overhead", output="BENCH_obs_overhead.json")
 def bench(ctx):
-    """Per-core, per-configuration overheads against the 2% bound."""
+    """Per-configuration overheads against the 2% bound."""
     ops = ctx.ops(DEFAULT_OPS)
-    cores = {}
-    for core in ("reference", "fastpath"):
-        timings = _run_core(core, ops)
-        baseline_s, _ = timings["baseline"]
-        cores[core] = {
-            "baseline_seconds": baseline_s,
-            "overheads": {
-                label: (seconds - baseline_s) / baseline_s
-                for label, (seconds, _m) in timings.items()
-                if label != "baseline"},
-        }
-    return {"ops": ops, "bound": MAX_OFF_OVERHEAD, "cores": cores}
+    timings = _run(ops)
+    baseline_s, _ = timings["baseline"]
+    return {
+        "ops": ops,
+        "bound": MAX_OFF_OVERHEAD,
+        "baseline_seconds": baseline_s,
+        "overheads": {
+            label: (seconds - baseline_s) / baseline_s
+            for label, (seconds, _m) in timings.items()
+            if label != "baseline"},
+    }

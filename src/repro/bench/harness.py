@@ -4,11 +4,11 @@ A report file looks like::
 
     {
       "schema": 2,
-      "benchmark": "core_throughput",
+      "benchmark": "consolidation",
       "quick": false,
       "provenance": {"host": ..., "platform": ..., "python": ...,
                      "git_sha": ..., "generated_at": ...},
-      "gates": [{"metric": "summary.geomean_speedup", ...}],
+      "gates": [{"metric": "summary.agile_vs_best_overhead_ratio", ...}],
       "result": {...},          # whatever the bench function returned
       "metrics": {...},         # flattened numeric view of result
       "obs_metrics": {...}      # repro.obs.metrics snapshot (schema'd)

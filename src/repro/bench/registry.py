@@ -4,11 +4,12 @@ A benchmark file declares itself with one decorator::
 
     from repro.bench import Gate, bench_target
 
-    @bench_target("core_throughput", output="BENCH_core_throughput.json",
-                  gates=(Gate("summary.geomean_speedup", "higher", 0.2),))
+    @bench_target("consolidation", output="BENCH_consolidation.json",
+                  gates=(Gate("summary.agile_vs_best_overhead_ratio",
+                              "lower", 0.2),))
     def bench(ctx):
         ...
-        return {"summary": {"geomean_speedup": 4.4}, ...}
+        return {"summary": {"agile_vs_best_overhead_ratio": 0.94}, ...}
 
 The decorator attaches a :class:`BenchTarget` to the function (it does
 *not* maintain a process-global registry — repeated imports of the same

@@ -36,13 +36,7 @@ import argparse
 import sys
 from dataclasses import replace
 
-from repro.common.config import (
-    CORE_REFERENCE,
-    EXTENDED_MODES,
-    MODE_AGILE,
-    VALID_CORES,
-    sandy_bridge_config,
-)
+from repro.common.config import EXTENDED_MODES, MODE_AGILE, sandy_bridge_config
 from repro.common.params import PAGE_SIZES
 from repro.core.machine import System
 from repro.core.simulator import Simulator
@@ -474,12 +468,9 @@ def cmd_fuzz(args, out, err):
         except (OSError, ValueError, KeyError) as exc:
             print("cannot load case: %s" % exc, file=err)
             return 2
-        replay_overrides = {}
-        if args.core != CORE_REFERENCE:
-            replay_overrides["core"] = args.core
         failures = []
         for path, case in cases:
-            verdict = replay_case(case, **replay_overrides)
+            verdict = replay_case(case)
             if not args.quiet:
                 print("[replay] %-4s %s" % ("ok" if verdict.ok else "FAIL",
                                             path), file=err)
@@ -504,8 +495,6 @@ def cmd_fuzz(args, out, err):
         options["hw_ad_assist"] = False
     if args.no_cr3_cache:
         options["hw_cr3_cache"] = False
-    if args.core != CORE_REFERENCE:
-        options["core"] = args.core
 
     seeds = range(args.seed_base, args.seed_base + args.seeds)
     specs = specs_for(seeds, args.ops, profile=args.profile,
@@ -820,10 +809,6 @@ def build_parser():
                              metavar="DIR",
                              help="where shrunk reproducers + obs traces "
                                   "are written")
-    fuzz_parser.add_argument("--core", choices=VALID_CORES,
-                             default=CORE_REFERENCE,
-                             help="simulation core the oracle machines run "
-                                  "on (campaigns and replay)")
     fuzz_parser.add_argument("--replay", action="append", metavar="FILE",
                              help="replay one corpus case (repeatable)")
     fuzz_parser.add_argument("--corpus", action="append", metavar="DIR",

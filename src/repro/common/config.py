@@ -29,13 +29,6 @@ MODE_LABELS = {
     MODE_AGILE: "A",
 }
 
-# Simulation cores. "reference" is the original dict-of-objects model;
-# "fastpath" swaps in the flat-array TLB/PWC stores and the batch walker
-# (repro.core.fastpath), proven bit-identical by tests/fastpath.
-CORE_REFERENCE = "reference"
-CORE_FASTPATH = "fastpath"
-VALID_CORES = (CORE_REFERENCE, CORE_FASTPATH)
-
 
 @dataclass(frozen=True)
 class TLBConfig:
@@ -181,17 +174,10 @@ class MachineConfig:
     # Physical memory sizes, in frames (4 KB each).
     guest_mem_frames: int = 1 << 16  # 256 MB of guest-physical space
     host_mem_frames: int = 1 << 17  # 512 MB of host-physical space
-    # Which simulation core executes the hot path: one of VALID_CORES.
-    # Both cores produce bit-identical RunMetrics; "fastpath" is faster.
-    core: str = CORE_REFERENCE
 
     def __post_init__(self):
         if self.mode not in EXTENDED_MODES:
             raise ValueError("unknown paging mode: %r" % (self.mode,))
-        if self.core not in VALID_CORES:
-            raise ValueError(
-                "unknown simulation core: %r (valid cores: %s)"
-                % (self.core, ", ".join(VALID_CORES)))
         if not isinstance(self.page_size, PageSize):
             raise TypeError("page_size must be a PageSize")
         if self.host_page_size is not None and not isinstance(
@@ -303,9 +289,6 @@ __all__ = [
     "ALL_MODES",
     "VIRTUALIZED_MODES",
     "MODE_LABELS",
-    "CORE_REFERENCE",
-    "CORE_FASTPATH",
-    "VALID_CORES",
     "TLBConfig",
     "TLBHierarchyConfig",
     "PWCConfig",

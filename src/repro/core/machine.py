@@ -7,7 +7,7 @@ the fault. It is the object workloads talk to.
 """
 
 from repro.common.clock import Clock
-from repro.common.config import CORE_FASTPATH, CORE_REFERENCE, MODE_NATIVE, VALID_CORES
+from repro.common.config import MODE_NATIVE
 from repro.common.errors import (
     GuestPageFault,
     HostPageFault,
@@ -33,23 +33,6 @@ MAX_FAULT_RETRIES = 16
 
 class System(GuestPlatform):
     """A complete machine: hardware + guest OS (+ VMM when virtualized)."""
-
-    def __new__(cls, config, clock=None, host_mem=None):
-        # Core selection: ``System(config)`` transparently assembles the
-        # fastpath machine (repro.core.fastpath.FastSystem) when the
-        # config asks for it, so every existing call site honors the
-        # `core` key. Validate here too: configs built by other means
-        # than MachineConfig.__post_init__ must still fail loudly.
-        core = getattr(config, "core", CORE_REFERENCE)
-        if core not in VALID_CORES:
-            raise SimulationError(
-                "unknown simulation core: %r (valid cores: %s)"
-                % (core, ", ".join(VALID_CORES)))
-        if cls is System and core == CORE_FASTPATH:
-            from repro.core.fastpath import FastSystem
-
-            return super().__new__(FastSystem)
-        return super().__new__(cls)
 
     def __init__(self, config, clock=None, host_mem=None):
         """Assemble one machine.
@@ -107,10 +90,8 @@ class System(GuestPlatform):
         walker, VMM trap accounting, per-process policies) and hooks the
         recorder into the policy epoch so sampling adds no per-op work.
         A metrics registry is threaded the same way (MMU and walker) and
-        sampled at policy epochs for occupancy gauges; unlike a tracer it
-        does *not* disable the fastpath inline loop — the fast loop
-        attributes its own fallbacks to per-reason counters instead.
-        Idempotent; call any time after construction.
+        sampled at policy epochs for occupancy gauges. Idempotent; call
+        any time after construction.
         """
         if tracer is not None:
             self.tracer = tracer

@@ -79,16 +79,10 @@ def iter_cases(directory):
             yield path, load_case(path)
 
 
-def replay_case(case, **config_overrides):
-    """Re-run one case through the oracle; returns the fresh Verdict.
-
-    Keyword overrides are merged over the case's recorded oracle options
-    — e.g. ``core="fastpath"`` replays the whole corpus on the fastpath
-    simulation core (`repro fuzz replay --core fastpath`).
-    """
+def replay_case(case):
+    """Re-run one case through the oracle; returns the fresh Verdict."""
     scenario = Scenario.from_dict(case["scenario"])
-    options = dict(case.get("oracle") or {})
-    options.update(config_overrides)
+    options = case.get("oracle") or {}
     if options.get("kind") == "isolation":
         # Cross-VM isolation cases (solo vs. consolidated replay).
         from repro.fuzz.isolation import IsolationOracle

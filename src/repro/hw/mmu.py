@@ -8,10 +8,6 @@ retrying, exactly as hardware re-executes the faulting instruction.
 """
 
 from repro.common.addrspace import takes
-from repro.common.config import CORE_FASTPATH
-from repro.hw.fastpwc import FastPageWalkCache
-from repro.hw.fasttlb import FastMultiSizeTLB
-from repro.hw.fastwalker import BatchWalker
 from repro.hw.nested_tlb import NestedTLB
 from repro.hw.pwc import PageWalkCache
 from repro.hw.tlbhierarchy import MultiSizeTLB
@@ -96,15 +92,9 @@ class MMU:
         from repro.common.params import FOUR_KB
 
         sizes.add(FOUR_KB)  # broken-down entries always need a 4K array
-        # The fastpath core swaps the packed-array structures in here;
-        # both variants are bit-identical in behaviour (tests/fastpath).
-        fast = config.core == CORE_FASTPATH
-        tlb_cls = FastMultiSizeTLB if fast else MultiSizeTLB
-        pwc_cls = FastPageWalkCache if fast else PageWalkCache
-        walker_cls = BatchWalker if fast else PageWalker
-        self.hierarchy = tlb_cls(config.tlbs, sizes, primary=config.page_size)
+        self.hierarchy = MultiSizeTLB(config.tlbs, sizes, primary=config.page_size)
         self.pwc = (
-            pwc_cls(config.pwc.entries_per_table, enabled=True)
+            PageWalkCache(config.pwc.entries_per_table, enabled=True)
             if config.pwc.enabled
             else None
         )
@@ -112,11 +102,11 @@ class MMU:
             NestedTLB(config.nested_tlb_entries) if config.nested_tlb_entries else None
         )
         self.host_pwc = (
-            pwc_cls(config.pwc.entries_per_table, enabled=True)
+            PageWalkCache(config.pwc.entries_per_table, enabled=True)
             if config.pwc.enabled and config.virtualized
             else None
         )
-        self.walker = walker_cls(host_mem, guest_mem, self.pwc, self.nested_tlb,
+        self.walker = PageWalker(host_mem, guest_mem, self.pwc, self.nested_tlb,
                                  host_pwc=self.host_pwc)
         if config.pte_cache_lines:
             from repro.hw.ptecache import PTECache

@@ -13,26 +13,21 @@ from repro.hw.tlb import TLB, TLBEntry
 class TLBHierarchy:
     """L1 data + L1 instruction + unified L2 for one page size."""
 
-    # Which TLB implementation backs the three structures. The fastpath
-    # core swaps in the packed-list FastTLB (repro.hw.fasttlb) here.
-    TLB_CLS = TLB
-
     def __init__(self, config, page_size):
         self.page_size = page_size
         name = page_size.name
         shift = page_size.shift
         if name not in config.l1d:
             raise ValueError("no L1D geometry for page size %s" % name)
-        tlb_cls = self.TLB_CLS
-        self.l1d = tlb_cls(config.l1d[name].entries, config.l1d[name].ways, shift, "L1D")
+        self.l1d = TLB(config.l1d[name].entries, config.l1d[name].ways, shift, "L1D")
         self.l1i = None
         if name in config.l1i:
             geometry = config.l1i[name]
-            self.l1i = tlb_cls(geometry.entries, geometry.ways, shift, "L1I")
+            self.l1i = TLB(geometry.entries, geometry.ways, shift, "L1I")
         self.l2 = None
         if name in config.l2:
             geometry = config.l2[name]
-            self.l2 = tlb_cls(geometry.entries, geometry.ways, shift, "L2")
+            self.l2 = TLB(geometry.entries, geometry.ways, shift, "L2")
 
     def _l1_for(self, kind):
         if kind == "inst" and self.l1i is not None:
@@ -133,15 +128,11 @@ class MultiSizeTLB:
     4K array automatically because the effective granule is 4K.
     """
 
-    # Which per-granule hierarchy this front end builds; the fastpath
-    # core overrides it with FastTLBHierarchy.
-    HIERARCHY_CLS = TLBHierarchy
-
     def __init__(self, config, page_sizes, primary):
         self.hierarchies = {}
         for page_size in page_sizes:
             if page_size.name in config.l1d:
-                self.hierarchies[page_size.shift] = self.HIERARCHY_CLS(config, page_size)
+                self.hierarchies[page_size.shift] = TLBHierarchy(config, page_size)
         if primary.shift not in self.hierarchies:
             raise ValueError("no TLB geometry for primary size %s" % primary)
         self.primary_shift = primary.shift

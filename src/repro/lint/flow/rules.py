@@ -600,8 +600,8 @@ class ConfigKeysRule(ProjectRule):
     dotted string key whose head is a dataclass-typed ``MachineConfig``
     field (the ``CellSpec`` override namespace, e.g. ``"pwc.enabled"``)
     must resolve to a declared field path; (c) every member of a
-    ``VALID_*`` enum tuple (the value set of a string-typed config key,
-    e.g. ``VALID_CORES``) must be referenced outside config.py — by its
+    ``VALID_*`` enum tuple (the value set of a string-typed config key)
+    must be referenced outside config.py — by its
     constant name or its literal value — or the declared value is dead:
     accepted by validation but handled by nothing.
     """

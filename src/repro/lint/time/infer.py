@@ -251,7 +251,7 @@ class _Interpreter:
             for target in statement.targets:
                 self._assign(target, None, env)
         elif isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            # Nested helper (the fastpath's `_flush` closure): interpret
+            # Nested helper (e.g. a `_flush` closure): interpret
             # its body in a copy of the enclosing env, so closed-over
             # clock references keep their inferred side and its advance
             # sites are attributed to *this* top-level function.

@@ -1,11 +1,11 @@
 """The metrics registry: typed counters, gauges, and histograms.
 
 ``RunMetrics`` is the simulator's *result* — what one measured run
-cost, bit-identical across cores and execution paths. This module is
-the *meta* layer: cheap instrumentation of the harness and the hot
-paths themselves (fastpath fallback reasons, walker refs histograms,
-TLB/PWC occupancy, runner throughput), feeding dashboards and the
-``repro bench`` regression harness rather than the paper's tables.
+cost, bit-identical across execution paths. This module is the *meta*
+layer: cheap instrumentation of the harness and the hot paths themselves
+(walker refs histograms, TLB/PWC occupancy, runner throughput), feeding
+dashboards and the ``repro bench`` regression harness rather than the
+paper's tables.
 
 The design mirrors the tracer's null-object contract exactly:
 
@@ -15,7 +15,7 @@ The design mirrors the tracer's null-object contract exactly:
 
       m = self.metrics
       if m.enabled:
-          m.inc("fastpath.fallback.miss")
+          m.observe("walker.refs", refs)
 
   That guard is the entire cost when metrics are off
   (``benchmarks/bench_obs_overhead.py`` enforces the ≤2% bound).
@@ -191,7 +191,7 @@ class MetricsRegistry(NullMetrics):
 
     One registry per measurement scope (a system, a sweep, a bench run).
     A name is permanently typed by its first use; re-registering it as a
-    different instrument kind raises, so ``fastpath.fallback.miss`` can
+    different instrument kind raises, so ``runner.sim_ops`` can
     never silently be a counter in one shard and a gauge in another.
     """
 

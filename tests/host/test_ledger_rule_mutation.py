@@ -1,6 +1,6 @@
 """Mutation acceptance: REPRO406 (ledger authority) is live.
 
-Same idiom as ``tests/fastpath/test_annotations_mutation.py``: copy the
+Same idiom as ``tests/lint/domains/test_mutations.py``: copy the
 installed package, plant one realistic commit-ledger violation, and
 prove ``repro check`` (the deep rule set) catches it. The clean-tree
 gate already proves the unmutated tree passes REPRO406 with zero

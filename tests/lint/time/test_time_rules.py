@@ -254,21 +254,21 @@ class TestCycleConservation:
         assert "bogus_counter" in findings[0].message
 
     def test_advance_in_nested_helper_is_attributed(self, tmp_path):
-        # The fastpath `_flush` shape: the advance lives in a closure
+        # A `_flush` closure: the advance lives in a nested helper
         # but must be attributed to the enclosing (annotatable) method.
-        findings = time_lint(tmp_path, {"core/fastpath.py": (
+        findings = time_lint(tmp_path, {"core/batch.py": (
             "from repro.common.timedomain import advances\n"
             "\n"
-            "class FastSystem:\n"
+            "class BatchSystem:\n"
             "    @advances(\"guest_sim\")\n"
-            "    def access_batch(self):\n"
+            "    def run_batch(self):\n"
             "        clock = self.clock\n"
             "        def _flush():\n"
             "            clock.advance(7)\n"
             "        _flush()\n"
         )}, [CycleConservationRule()])
         assert [f.rule_id for f in findings] == ["REPRO703"]
-        assert "access_batch" in findings[0].message
+        assert "run_batch" in findings[0].message
 
 
 class TestMetricsMergeClosure:

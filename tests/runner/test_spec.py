@@ -93,6 +93,10 @@ class TestBuildConfig:
             CellSpec.make("mcf", overrides={"pwc.entires": 1}).build_config()
         with pytest.raises(SpecError):
             CellSpec.make("mcf", overrides={"typo_field": 1}).build_config()
+        # A spec or cache entry that still names a simulation core must
+        # fail loudly, not be ignored.
+        with pytest.raises(SpecError, match="unknown config field 'core'"):
+            CellSpec.make("mcf", overrides={"core": "reference"}).build_config()
 
     def test_non_nested_field_rejects_dotted_path(self):
         with pytest.raises(SpecError):
