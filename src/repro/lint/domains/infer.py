@@ -2,9 +2,10 @@
 
 :func:`analyze_domains` runs over the :func:`build_program` call graph
 (parsing nothing — it walks the AST nodes the flow analysis already
-kept per function) and produces a :class:`DomainReport`:
+kept per function) and produces a :class:`~repro.lint.absint.Report`:
 
-* per-function forward dataflow over the domain lattice — locals are
+* per-function forward dataflow over the domain lattice, run by the
+  shared :class:`~repro.lint.absint.Interpreter` — locals are
   seeded from ``@takes``/``@translates`` parameters and updated through
   the shift/mask idioms (``addr >> PAGE_SHIFT`` → frame, ``frame << 12``
   → addr, ``x & OFFSET_MASK`` → offset, ``x & ~mask`` keeps x),
@@ -16,26 +17,36 @@ kept per function) and produces a :class:`DomainReport`:
 
 Branches join conservatively (disagreeing values drop to unknown), so
 only operations on two *known* conflicting values report — annotations
-buy checking, unannotated code stays silent.
+buy checking, unannotated code stays silent. A nested helper's body is
+checked as part of its enclosing function; its returns are not the
+enclosing function's returns.
 """
 
 import ast
 
 from repro.common.addrspace import PAPER_EDGES
+from repro.lint.absint import (
+    AnalysisFinding,
+    Interpreter,
+    Report,
+    join,
+    memoized,
+    module_tail,
+)
 from repro.lint.domains.model import (
     Value,
     from_name,
     is_inverted_mask,
     is_offset_mask,
     is_page_shift,
-    join,
     read_signature,
     spaces_conflict,
     units_conflict,
 )
 from repro.lint.flow.analysis import _resolve_call, build_program
+from repro.lint.rules import tail_name
 
-#: Rule keys (the REPRO60x suffix each finding belongs to).
+#: Rule ids, one per kind of finding.
 CROSS_DOMAIN = "REPRO601"
 WRONG_ARGUMENT = "REPRO602"
 UNTRANSLATED = "REPRO603"
@@ -71,81 +82,21 @@ _REQUIRED_EDGES = {
 }
 
 
-def _clip(text, limit=220):
-    return text if len(text) <= limit else text[:limit - 3] + "..."
+class _Interpreter(Interpreter):
+    """The domain lattice's transfer functions, return summaries, and
+    physical-memory accessor checks."""
 
-
-class DomainFinding:
-    """One pre-rendered finding, tagged with its rule key."""
-
-    __slots__ = ("rule_key", "path", "lineno", "col", "message")
-
-    def __init__(self, rule_key, path, lineno, col, message):
-        self.rule_key = rule_key
-        self.path = path
-        self.lineno = lineno
-        self.col = col
-        self.message = _clip(message)
-
-
-class DomainReport:
-    """Everything one domain analysis produced."""
-
-    __slots__ = ("findings", "translators", "summaries")
-
-    def __init__(self, findings, translators, summaries):
-        self.findings = findings      # [DomainFinding]
-        self.translators = translators  # {qualname: (src, dst)}
-        self.summaries = summaries    # {qualname: (domain-or-None, ...)}
-
-    def by_rule(self, rule_key):
-        return [f for f in self.findings if f.rule_key == rule_key]
-
-
-def _module_tail(module):
-    return tuple(module.split(".")[-2:])
-
-
-def _receiver_tail(node):
-    """The last attribute/name of a call receiver (``self.host_mem`` →
-    ``host_mem``), or None."""
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    if isinstance(node, ast.Name):
-        return node.id
-    return None
-
-
-class _Interpreter:
-    """One forward pass over one function body."""
+    VALUE_TYPES = (Value,)
+    from_name = staticmethod(from_name)
 
     def __init__(self, program, info, signatures, summaries, emit):
-        self.program = program
-        self.info = info
-        self.signatures = signatures
+        super().__init__(program, info, signatures, emit)
         self.summaries = summaries
-        self.emit = emit
-        self.findings = []
         self.returns = []  # one tuple of Value-or-None per return stmt
-        self.aliases = program.aliases_by_module.get(info.module, {})
 
-    # -- plumbing ----------------------------------------------------------
-
-    def report(self, rule_key, node, message):
-        if self.emit:
-            self.findings.append(DomainFinding(
-                rule_key, self.info.path, node.lineno, node.col_offset,
-                message))
-
-    def run(self):
-        node = self.info.node
-        env = {}
-        signature = self.signatures[self.info.qualname]
-        for name, domain in signature.param_domains(node).items():
-            env[name] = from_name(domain, "`%s` is a %s parameter of `%s`"
-                                  % (name, domain, self.info.qualname))
-        self.exec_block(node.body, env)
-        return self
+    def declared_params(self):
+        return self.signatures[self.info.qualname].param_domains(
+            self.info.node)
 
     def return_summary(self):
         """Positionwise join over every return statement's domains."""
@@ -164,120 +115,10 @@ class _Interpreter:
             return None
         return tuple(summary)
 
-    # -- statements --------------------------------------------------------
-
-    def exec_block(self, statements, env):
-        for statement in statements:
-            self.exec_stmt(statement, env)
-
-    def _assign(self, target, value, env):
-        if isinstance(target, ast.Name):
-            if value is None or isinstance(value, (tuple, list)):
-                env.pop(target.id, None)
-            else:
-                env[target.id] = value
-        elif isinstance(target, (ast.Tuple, ast.List)):
-            elements = list(value) if isinstance(value, (tuple, list)) else []
-            for index, element in enumerate(target.elts):
-                self._assign(element, elements[index]
-                             if index < len(elements) else None, env)
-        elif isinstance(target, (ast.Attribute, ast.Subscript)):
-            self.eval(target.value, env)
-        elif isinstance(target, ast.Starred):
-            self._assign(target.value, None, env)
-
-    def exec_stmt(self, statement, env):
-        if isinstance(statement, ast.Assign):
-            value = self.eval(statement.value, env)
-            for target in statement.targets:
-                self._assign(target, value, env)
-        elif isinstance(statement, ast.AnnAssign):
-            value = (self.eval(statement.value, env)
-                     if statement.value is not None else None)
-            self._assign(statement.target, value, env)
-        elif isinstance(statement, ast.AugAssign):
-            synthetic = ast.BinOp(left=statement.target,
-                                  op=statement.op, right=statement.value)
-            ast.copy_location(synthetic, statement)
-            ast.fix_missing_locations(synthetic)
-            value = self._eval_BinOp(synthetic, env)
-            self._assign(statement.target, value, env)
-        elif isinstance(statement, ast.Return):
-            self._exec_return(statement, env)
-        elif isinstance(statement, ast.Expr):
-            self.eval(statement.value, env)
-        elif isinstance(statement, ast.If):
-            self.eval(statement.test, env)
-            after_body = dict(env)
-            self.exec_block(statement.body, after_body)
-            after_orelse = dict(env)
-            self.exec_block(statement.orelse, after_orelse)
-            self._merge_into(env, after_body, after_orelse)
-        elif isinstance(statement, (ast.For, ast.AsyncFor)):
-            self.eval(statement.iter, env)
-            body_env = dict(env)
-            self._assign(statement.target, None, body_env)
-            self.exec_block(statement.body, body_env)
-            self.exec_block(statement.orelse, body_env)
-            self._assign(statement.target, None, env)
-            self._merge_into(env, env, body_env)
-        elif isinstance(statement, ast.While):
-            self.eval(statement.test, env)
-            body_env = dict(env)
-            self.exec_block(statement.body, body_env)
-            self.exec_block(statement.orelse, body_env)
-            self._merge_into(env, env, body_env)
-        elif isinstance(statement, (ast.With, ast.AsyncWith)):
-            for item in statement.items:
-                value = self.eval(item.context_expr, env)
-                if item.optional_vars is not None:
-                    self._assign(item.optional_vars, value, env)
-            self.exec_block(statement.body, env)
-        elif isinstance(statement, ast.Try):
-            after_body = dict(env)
-            self.exec_block(statement.body, after_body)
-            merged = after_body
-            for handler in statement.handlers:
-                after_handler = dict(env)
-                self.exec_block(handler.body, after_handler)
-                merged = self._merged(merged, after_handler)
-            self._merge_into(env, env, merged)
-            self.exec_block(statement.orelse, env)
-            self.exec_block(statement.finalbody, env)
-        elif isinstance(statement, ast.Delete):
-            for target in statement.targets:
-                self._assign(target, None, env)
-        elif isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                    ast.ClassDef, ast.Import,
-                                    ast.ImportFrom, ast.Global,
-                                    ast.Nonlocal, ast.Pass, ast.Break,
-                                    ast.Continue)):
-            pass
-        else:
-            for child in ast.iter_child_nodes(statement):
-                if isinstance(child, ast.expr):
-                    self.eval(child, env)
-
-    def _merged(self, env_a, env_b):
-        merged = {}
-        for name, value in env_a.items():
-            kept = join(value, env_b.get(name))
-            if kept is not None:
-                merged[name] = kept
-        return merged
-
-    def _merge_into(self, env, env_a, env_b):
-        merged = self._merged(env_a, env_b)
-        env.clear()
-        env.update(merged)
-
-    def _exec_return(self, statement, env):
-        if statement.value is None:
-            return
-        value = self.eval(statement.value, env)
-        values = (tuple(self._scalar(v) for v in value)
+    def check_return(self, statement, value):
+        values = (tuple(self.scalar(v) for v in value)
                   if isinstance(value, (tuple, list))
-                  else (self._scalar(value),))
+                  else (self.scalar(value),))
         self.returns.append(values)
         declared = self.signatures[self.info.qualname].return_domains()
         if declared is None:
@@ -303,54 +144,10 @@ class _Interpreter:
 
     # -- expressions -------------------------------------------------------
 
-    def eval(self, node, env):
-        method = getattr(self, "_eval_" + type(node).__name__, None)
-        if method is not None:
-            return method(node, env)
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.expr):
-                self.eval(child, env)
-        return None
-
-    def _eval_Name(self, node, env):
-        return env.get(node.id)
-
-    def _eval_Constant(self, node, env):
-        return None
-
-    def _eval_Tuple(self, node, env):
-        return tuple(self.eval(element, env) for element in node.elts)
-
-    def _eval_NamedExpr(self, node, env):
-        value = self.eval(node.value, env)
-        self._assign(node.target, value, env)
-        return value
-
-    def _eval_IfExp(self, node, env):
-        self.eval(node.test, env)
-        return join(self._scalar(self.eval(node.body, env)),
-                    self._scalar(self.eval(node.orelse, env)))
-
-    def _eval_BoolOp(self, node, env):
-        merged = self._scalar(self.eval(node.values[0], env))
-        for value in node.values[1:]:
-            merged = join(merged, self._scalar(self.eval(value, env)))
-        return merged
-
-    def _eval_UnaryOp(self, node, env):
-        value = self.eval(node.operand, env)
-        if isinstance(node.op, (ast.USub, ast.UAdd)):
-            return self._scalar(value)
-        return None
-
-    @staticmethod
-    def _scalar(value):
-        return value if isinstance(value, Value) else None
-
     def _eval_Compare(self, node, env):
-        values = [self._scalar(self.eval(node.left, env))]
+        values = [self.scalar(self.eval(node.left, env))]
         for comparator in node.comparators:
-            values.append(self._scalar(self.eval(comparator, env)))
+            values.append(self.scalar(self.eval(comparator, env)))
         for index, op in enumerate(node.ops):
             if not isinstance(op, _ORDERED_CMPS):
                 continue
@@ -368,8 +165,8 @@ class _Interpreter:
         return None
 
     def _eval_BinOp(self, node, env):
-        left = self._scalar(self.eval(node.left, env))
-        right = self._scalar(self.eval(node.right, env))
+        left = self.scalar(self.eval(node.left, env))
+        right = self.scalar(self.eval(node.right, env))
         op = node.op
         if isinstance(op, ast.RShift):
             if left is not None and is_page_shift(node.right):
@@ -440,12 +237,7 @@ class _Interpreter:
     # -- calls -------------------------------------------------------------
 
     def _eval_Call(self, node, env):
-        argument_values = [self.eval(arg, env) for arg in node.args]
-        keyword_values = {kw.arg: self.eval(kw.value, env)
-                          for kw in node.keywords if kw.arg is not None}
-        for keyword in node.keywords:
-            if keyword.arg is None:
-                self.eval(keyword.value, env)
+        argument_values, keyword_values = self._eval_arguments(node, env)
         if isinstance(node.func, ast.Attribute):
             self.eval(node.func.value, env)
         physmem_checked = self._check_physmem(node, argument_values,
@@ -485,24 +277,6 @@ class _Interpreter:
             return values[0]
         return values
 
-    def _bound_arguments(self, node, callee, argument_values, keyword_values):
-        """[(param name, value node, value)] for checkable arguments."""
-        if any(isinstance(arg, ast.Starred) for arg in node.args):
-            return []
-        parameters = [arg.arg for arg in callee.node.args.args]
-        if (callee.cls is not None and parameters
-                and parameters[0] in ("self", "cls")):
-            parameters = parameters[1:]
-        bound = []
-        for index, value in enumerate(argument_values):
-            if index < len(parameters):
-                bound.append((parameters[index], node.args[index], value))
-        for keyword in node.keywords:
-            if keyword.arg in keyword_values:
-                bound.append((keyword.arg, keyword.value,
-                              keyword_values[keyword.arg]))
-        return bound
-
     def _check_arguments(self, node, callee, signature, argument_values,
                          keyword_values, physmem_checked):
         domains = signature.param_domains(callee.node)
@@ -515,7 +289,7 @@ class _Interpreter:
                 continue
             if physmem_checked and value_node in physmem_checked:
                 continue
-            value = self._scalar(value)
+            value = self.scalar(value)
             if value is None:
                 continue
             declared = from_name(declared_name, "declared")
@@ -537,7 +311,7 @@ class _Interpreter:
         if (not isinstance(func, ast.Attribute)
                 or func.attr not in PHYSMEM_ACCESSORS):
             return ()
-        receiver = _receiver_tail(func.value)
+        receiver = tail_name(func.value)
         backing = PHYSMEM_SPACES.get(receiver)
         if backing is None:
             return ()
@@ -550,7 +324,7 @@ class _Interpreter:
             value = keyword_values["frame"]
         else:
             return ()
-        value = self._scalar(value)
+        value = self.scalar(value)
         if value is None:
             return ()
         if value.space is not None and value.space != space:
@@ -584,26 +358,26 @@ def _closure_findings(program, signatures):
             translators[qualname] = signature.translates
     paper_edges = set(PAPER_EDGES)
     roots = [qualname for qualname, info in program.functions.items()
-             if _module_tail(info.module) in _ROOT_MODULE_TAILS
+             if module_tail(info.module) in _ROOT_MODULE_TAILS
              or "trap_handler" in info.effects]
     reachable = program.reachable_from(roots) if roots else None
     for qualname, (src, dst) in sorted(translators.items()):
         info = program.functions[qualname]
         if (src, dst) not in paper_edges:
-            findings.append(DomainFinding(
+            findings.append(AnalysisFinding(
                 CLOSURE, info.path, info.lineno, 0,
                 "`%s` declares @translates(%r, %r), which is not a "
                 "paper-model edge (gVA→gPA→hPA): allowed pairs are %s"
                 % (qualname, src, dst,
                    ", ".join("%s→%s" % edge for edge in PAPER_EDGES))))
         elif reachable is not None and qualname not in reachable:
-            findings.append(DomainFinding(
+            findings.append(AnalysisFinding(
                 CLOSURE, info.path, info.lineno, 0,
                 "translator `%s` (%s→%s) is not reachable from the "
                 "hardware walker or any trap handler — a translation "
                 "edge nothing can ever take" % (qualname, src, dst)))
     for module in sorted(program.modules):
-        required = _REQUIRED_EDGES.get(_module_tail(module))
+        required = _REQUIRED_EDGES.get(module_tail(module))
         if required is None:
             continue
         declared = any(edge == required
@@ -611,29 +385,23 @@ def _closure_findings(program, signatures):
                        if program.functions[qualname].module == module)
         if not declared:
             source_file = program.files_by_module[module]
-            findings.append(DomainFinding(
+            findings.append(AnalysisFinding(
                 CLOSURE, source_file.path, 1, 0,
                 "module `%s` implements the %s→%s translation step but "
                 "declares no @translates(%r, %r) function"
                 % (module, required[0], required[1], required[0],
                    required[1])))
-    return findings, translators
+    return findings
 
-
-_cache_key = None
-_cache_value = None
 
 #: Fixpoint bound for inferred return summaries; chains of undeclared
 #: helpers deeper than this stay unknown (quiet) rather than wrong.
 MAX_SUMMARY_PASSES = 4
 
 
+@memoized
 def analyze_domains(source_files):
-    """The memoized address-domain analysis of one file set."""
-    global _cache_key, _cache_value
-    key = tuple((f.path, f.content_hash) for f in source_files)
-    if key == _cache_key:
-        return _cache_value
+    """The address-domain analysis of one file set."""
     program = build_program(source_files)
     signatures = {qualname: read_signature(info.node)
                   for qualname, info in program.functions.items()}
@@ -659,9 +427,5 @@ def analyze_domains(source_files):
         interp = _Interpreter(program, info, signatures, summaries,
                               emit=True).run()
         findings.extend(interp.findings)
-    closure, translators = _closure_findings(program, signatures)
-    findings.extend(closure)
-    report = DomainReport(findings, translators, summaries)
-    _cache_key = key
-    _cache_value = report
-    return report
+    findings.extend(_closure_findings(program, signatures))
+    return Report(findings)

@@ -16,6 +16,8 @@ never imports the annotated modules.
 
 import ast
 
+from repro.lint.rules import tail_name
+
 #: space of each declarable domain name (None = space-generic).
 SPACE = {
     "gva": "guest-virtual", "vpn": "guest-virtual",
@@ -85,23 +87,7 @@ def units_conflict(a, b):
     return a.unit != b.unit
 
 
-def join(a, b):
-    """Control-flow join: agreeing points survive, anything else is
-    unknown (quiet, never ⊥ — conflicts only fire at operations)."""
-    if a is not None and a.same_point(b):
-        return a
-    return None
-
-
 # -- declared signatures ------------------------------------------------------
-
-
-def _tail_name(node):
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    if isinstance(node, ast.Name):
-        return node.id
-    return None
 
 
 class Signature:
@@ -113,10 +99,6 @@ class Signature:
         self.takes = takes            # {param name: domain name}
         self.returns = returns        # tuple of domain-name-or-None, or None
         self.translates = translates  # (src, dst) or None
-
-    @property
-    def declared(self):
-        return bool(self.takes) or self.returns or self.translates
 
     def return_domains(self):
         """The declared return-domain tuple (translators return dst)."""
@@ -147,7 +129,7 @@ def read_signature(node):
     for decorator in node.decorator_list:
         if not isinstance(decorator, ast.Call):
             continue
-        tail = _tail_name(decorator.func)
+        tail = tail_name(decorator.func)
         if tail == "takes":
             for keyword in decorator.keywords:
                 if (keyword.arg is not None
@@ -185,7 +167,7 @@ def is_page_shift(node):
         return node.value in PAGE_SHIFT_CONSTANTS
     if isinstance(node, ast.Call):
         node = node.func
-    tail = _tail_name(node)
+    tail = tail_name(node)
     return tail is not None and "shift" in tail.lower()
 
 
@@ -203,7 +185,7 @@ def is_offset_mask(node):
             and isinstance(node.right, ast.Constant)
             and node.right.value == 1):
         return True
-    tail = _tail_name(node)
+    tail = tail_name(node)
     return tail is not None and "mask" in tail.lower()
 
 

@@ -6,70 +6,51 @@ same share-one-analysis idiom as the flow rules and
 interpretation of the tree.
 """
 
-from repro.lint.domains.infer import (
-    CLOSURE,
-    CROSS_DOMAIN,
-    FRAME_BYTE,
-    UNTRANSLATED,
-    WRONG_ARGUMENT,
-    analyze_domains,
-)
-from repro.lint.engine import Finding, ProjectRule
+from repro.lint.absint import AnalysisRule
+from repro.lint.domains.infer import analyze_domains
 
 
-class _DomainRule(ProjectRule):
-    """Base: render this rule's slice of the shared domain report."""
-
-    rule_key = None
-
-    def check_project(self, source_files):
-        report = analyze_domains(source_files)
-        for finding in report.by_rule(self.rule_key):
-            yield Finding(self.rule_id, self.name, finding.path,
-                          finding.lineno, finding.col, finding.message)
-
-
-class CrossDomainArithmeticRule(_DomainRule):
+class CrossDomainArithmeticRule(AnalysisRule):
     """gVA/gPA/hPA values never meet in arithmetic or comparisons."""
 
     rule_id = "REPRO601"
     name = "cross-domain-arith"
     description = ("arithmetic/comparison mixes two address spaces "
                    "(e.g. gpa == hpa)")
-    rule_key = CROSS_DOMAIN
+    analysis = staticmethod(analyze_domains)
 
 
-class WrongDomainArgumentRule(_DomainRule):
+class WrongDomainArgumentRule(AnalysisRule):
     """Annotated call sites receive the declared address domain."""
 
     rule_id = "REPRO602"
     name = "wrong-domain-arg"
     description = ("an argument's inferred address domain contradicts "
                    "the callee's @takes/@translates declaration")
-    rule_key = WRONG_ARGUMENT
+    analysis = staticmethod(analyze_domains)
 
 
-class UntranslatedGuestAddressRule(_DomainRule):
+class UntranslatedGuestAddressRule(AnalysisRule):
     """Guest addresses reach RAM only through a declared translator."""
 
     rule_id = "REPRO603"
     name = "untranslated-guest-addr"
     description = ("an untranslated guest address reaches a physical-"
                    "memory accessor (guest_mem/host_mem are typed)")
-    rule_key = UNTRANSLATED
+    analysis = staticmethod(analyze_domains)
 
 
-class FrameByteConfusionRule(_DomainRule):
+class FrameByteConfusionRule(AnalysisRule):
     """Frame numbers and byte addresses never substitute for each other."""
 
     rule_id = "REPRO604"
     name = "frame-byte-confusion"
     description = ("frame-number vs byte-address mix-up: double page-"
                    "shift, or indexing RAM with a byte address")
-    rule_key = FRAME_BYTE
+    analysis = staticmethod(analyze_domains)
 
 
-class TranslatorClosureRule(_DomainRule):
+class TranslatorClosureRule(AnalysisRule):
     """@translates declarations close over the paper's pipeline."""
 
     rule_id = "REPRO605"
@@ -77,7 +58,7 @@ class TranslatorClosureRule(_DomainRule):
     description = ("every @translates pair is a real gVA→gPA→hPA edge, "
                    "reachable from the walker, and the implementing "
                    "modules declare theirs")
-    rule_key = CLOSURE
+    analysis = staticmethod(analyze_domains)
 
 
 #: The address-domain rule set, appended to ``repro check`` / ``--deep``.

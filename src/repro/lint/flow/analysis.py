@@ -31,7 +31,13 @@ analysis.
 
 import ast
 
-from repro.lint.rules import _dotted_name, _import_aliases, classify_nondet_call
+from repro.lint.absint import memoized
+from repro.lint.rules import (
+    _dotted_name,
+    _import_aliases,
+    classify_nondet_call,
+    tail_name,
+)
 
 #: Decorator tails (from ``repro.common.effects``) the analyzer recognizes.
 EFFECT_MARKERS = ("trap_handler", "policy_decision")
@@ -54,8 +60,8 @@ class FunctionInfo:
         self.calls = []
         #: Direct nondeterminism reads inside this body: [(lineno, message)].
         self.nondet_sources = []
-        #: The function's AST node, so downstream passes (the address-
-        #: domain analysis in ``repro.lint.domains``) can walk the body
+        #: The function's AST node, so downstream passes (the shared
+        #: interpreter in ``repro.lint.absint``) can walk the body
         #: without re-parsing anything.
         self.node = None
 
@@ -127,20 +133,12 @@ class Program:
         return seen
 
 
-def _tail_name(node):
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    if isinstance(node, ast.Name):
-        return node.id
-    return None
-
-
 def _decorator_effects(node):
     """The effect markers declared on one function definition."""
     effects = []
     for decorator in node.decorator_list:
         target = decorator.func if isinstance(decorator, ast.Call) else decorator
-        tail = _tail_name(target)
+        tail = tail_name(target)
         if (isinstance(decorator, ast.Call) and tail == "mutates"
                 and decorator.args
                 and isinstance(decorator.args[0], ast.Constant)
@@ -281,16 +279,9 @@ def _analyze_bodies(source_file, raw_functions, program):
                 tuple(candidates), ambiguous))
 
 
-_cache_key = None
-_cache_value = None
-
-
+@memoized
 def build_program(source_files):
-    """The memoized whole-program analysis of one file set."""
-    global _cache_key, _cache_value
-    key = tuple((f.path, f.content_hash) for f in source_files)
-    if key == _cache_key:
-        return _cache_value
+    """The whole-program analysis of one file set."""
     program = Program()
     per_file = [(f, _collect_definitions(f, program)) for f in source_files]
     by_name = {}
@@ -301,6 +292,4 @@ def build_program(source_files):
                                for name, quals in by_name.items()}
     for source_file, raw_functions in per_file:
         _analyze_bodies(source_file, raw_functions, program)
-    _cache_key = key
-    _cache_value = program
     return program

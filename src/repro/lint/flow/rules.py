@@ -11,9 +11,9 @@ import ast
 import re
 
 from repro.lint.engine import Finding, ProjectRule
-from repro.lint.flow.analysis import _tail_name, build_program
+from repro.lint.flow.analysis import build_program
 from repro.lint.flow.layers import module_layer
-from repro.lint.rules import _resolve_relative
+from repro.lint.rules import _resolve_relative, tail_name
 
 # Effects that authorize reaching a shadow-PT mutator (REPRO401) and a
 # switching-bit mutator (REPRO402): the shadow manager's own mutators
@@ -222,7 +222,7 @@ class EventTaxonomyRule(ProjectRule):
                 if (not isinstance(node, ast.Call)
                         or not isinstance(node.func, ast.Attribute)):
                     continue
-                receiver = _tail_name(node.func.value)
+                receiver = tail_name(node.func.value)
                 if receiver in self.RECEIVERS and node.func.attr not in allowed:
                     yield Finding(
                         self.rule_id, self.name, source_file.path,
@@ -599,11 +599,7 @@ class ConfigKeysRule(ProjectRule):
     somewhere — an unread knob silently prices nothing; (b) every
     dotted string key whose head is a dataclass-typed ``MachineConfig``
     field (the ``CellSpec`` override namespace, e.g. ``"pwc.enabled"``)
-    must resolve to a declared field path; (c) every member of a
-    ``VALID_*`` enum tuple (the value set of a string-typed config key)
-    must be referenced outside config.py — by its
-    constant name or its literal value — or the declared value is dead:
-    accepted by validation but handled by nothing.
+    must resolve to a declared field path.
     """
 
     rule_id = "REPRO502"
@@ -635,7 +631,7 @@ class ConfigKeysRule(ProjectRule):
             if not isinstance(node, ast.ClassDef):
                 continue
             decorated = any(
-                _tail_name(dec.func if isinstance(dec, ast.Call) else dec)
+                tail_name(dec.func if isinstance(dec, ast.Call) else dec)
                 == "dataclass" for dec in node.decorator_list)
             if not decorated:
                 continue
@@ -650,60 +646,16 @@ class ConfigKeysRule(ProjectRule):
             dataclasses[node.name] = fields
         if not dataclasses:
             return
-        # Module-level string constants and VALID_* enum tuples in the
-        # config module, for the dead-enum-member check (c).
-        string_consts = {}
-        enum_tuples = []
-        for node in config_file.tree.body:
-            if not (isinstance(node, ast.Assign) and len(node.targets) == 1
-                    and isinstance(node.targets[0], ast.Name)):
-                continue
-            target = node.targets[0].id
-            if (isinstance(node.value, ast.Constant)
-                    and isinstance(node.value.value, str)):
-                string_consts[target] = node.value.value
-            elif target.startswith("VALID_") and isinstance(node.value, ast.Tuple):
-                enum_tuples.append((target, node.value))
         attr_reads = set()
         key_literals = []
-        outside_names = set()
-        outside_strings = set()
         for source_file in source_files:
-            outside = source_file is not config_file
             for node in ast.walk(source_file.tree):
                 if isinstance(node, ast.Attribute):
                     attr_reads.add(node.attr)
-                    if outside:
-                        outside_names.add(node.attr)
                 elif (isinstance(node, ast.Constant)
-                      and isinstance(node.value, str)):
-                    if self.DOTTED_KEY_RE.match(node.value):
-                        key_literals.append((source_file, node))
-                    if outside:
-                        outside_strings.add(node.value)
-                elif outside and isinstance(node, ast.Name):
-                    outside_names.add(node.id)
-        for enum_name, tuple_node in enum_tuples:
-            for element in tuple_node.elts:
-                if isinstance(element, ast.Name):
-                    member_name = element.id
-                    member_value = string_consts.get(member_name)
-                elif (isinstance(element, ast.Constant)
-                      and isinstance(element.value, str)):
-                    member_name = None
-                    member_value = element.value
-                else:
-                    continue
-                if member_name in outside_names or member_value in outside_strings:
-                    continue
-                yield Finding(
-                    self.rule_id, self.name, config_file.path,
-                    element.lineno, element.col_offset,
-                    "config enum `%s` declares %r but nothing outside "
-                    "config.py references it; a declared-but-unhandled "
-                    "value is a dead key"
-                    % (enum_name, member_value
-                       if member_value is not None else member_name))
+                      and isinstance(node.value, str)
+                      and self.DOTTED_KEY_RE.match(node.value)):
+                    key_literals.append((source_file, node))
         for class_name, field, lineno in field_sites:
             if field not in attr_reads:
                 yield Finding(

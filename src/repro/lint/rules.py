@@ -76,6 +76,16 @@ def _resolve_relative(package, level, module):
     return ".".join(base)
 
 
+def tail_name(node):
+    """The last name of an Attribute/Name chain (``self.host_mem`` →
+    ``host_mem``), else None."""
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.Name):
+        return node.id
+    return None
+
+
 def _dotted_name(node):
     """``a.b.c`` for an Attribute/Name chain, else None."""
     parts = []
@@ -365,14 +375,6 @@ class TrapAccountingRule(ProjectRule):
                     fields.append((item.target.id, item.lineno))
         return fields
 
-    @staticmethod
-    def _tail_name(node):
-        if isinstance(node, ast.Attribute):
-            return node.attr
-        if isinstance(node, ast.Name):
-            return node.id
-        return None
-
     def check_project(self, source_files):
         traps_file = next((f for f in source_files
                            if f.endswith(self.TRAPS_PATH)), None)
@@ -399,9 +401,9 @@ class TrapAccountingRule(ProjectRule):
                 elif isinstance(node, ast.Name) and not in_traps:
                     referenced.add(node.id)
                 if (isinstance(node, ast.Call)
-                        and self._tail_name(node.func) in ("_trap", "record")
+                        and tail_name(node.func) in ("_trap", "record")
                         and node.args):
-                    kind = self._tail_name(node.args[0])
+                    kind = tail_name(node.args[0])
                     if kind is not None:
                         charged.add(kind)
 
@@ -495,14 +497,6 @@ class BenchRegistrationRule(Rule):
     #: the bench layer and must not import it (REPRO501).
     OUTPUT_RE = re.compile(r"^BENCH_[A-Za-z0-9_]+\.json$")
 
-    @staticmethod
-    def _tail_name(node):
-        if isinstance(node, ast.Attribute):
-            return node.attr
-        if isinstance(node, ast.Name):
-            return node.id
-        return None
-
     def _in_scope(self, source_file):
         posix = source_file.posix_path
         if self.SCOPE not in posix:
@@ -515,7 +509,7 @@ class BenchRegistrationRule(Rule):
             return
         calls = [node for node in ast.walk(source_file.tree)
                  if isinstance(node, ast.Call)
-                 and self._tail_name(node.func) == "bench_target"]
+                 and tail_name(node.func) == "bench_target"]
         if not calls:
             yield self.finding(
                 source_file, source_file.tree,

@@ -31,16 +31,12 @@ def default_lint_paths():
 
 
 def default_rules(deep=False):
-    """The configured rule set: per-file, plus the whole-program flow,
-    address-domain, and time-domain rules for deep."""
-    from repro.lint.domains.rules import DOMAIN_RULES
-    from repro.lint.flow.rules import FLOW_RULES
+    """The configured rule set: per-file, or :data:`repro.lint.DEEP_RULES`
+    for deep."""
+    from repro.lint import DEEP_RULES
     from repro.lint.rules import DEFAULT_RULES
-    from repro.lint.time.rules import TIME_RULES
 
-    if deep:
-        return DEFAULT_RULES + FLOW_RULES + DOMAIN_RULES + TIME_RULES
-    return DEFAULT_RULES
+    return DEEP_RULES if deep else DEFAULT_RULES
 
 
 def _hash_sources(sources):

@@ -2,9 +2,10 @@
 
 :func:`analyze_time` runs over the :func:`build_program` call graph
 (parsing nothing — it walks the AST nodes the flow analysis already
-kept per function) and produces a :class:`TimeReport`:
+kept per function) and produces a :class:`~repro.lint.absint.Report`:
 
-* per-function forward dataflow over the time lattice — locals are
+* per-function forward dataflow over the time lattice, run by the
+  shared :class:`~repro.lint.absint.Interpreter` — locals are
   seeded from ``@cycles`` parameters and updated through the clock
   idioms (``self.clock.now`` is an instant on the module's clock side,
   ``x.system.clock`` is a VM's virtual clock, ``clock.host`` reaches
@@ -20,11 +21,21 @@ kept per function) and produces a :class:`TimeReport`:
 
 Branches join conservatively (disagreeing values drop to unknown), so
 only operations on two *known* conflicting values report — annotations
-buy checking, unannotated code stays silent.
+buy checking, unannotated code stays silent. A nested helper's body is
+checked as part of its enclosing function (its advance sites are the
+enclosing function's); its returns are not the enclosing function's
+returns.
 """
 
 import ast
 
+from repro.lint.absint import (
+    AnalysisFinding,
+    Interpreter,
+    Report,
+    memoized,
+    module_tail,
+)
 from repro.lint.flow.analysis import _resolve_call, build_program
 from repro.lint.time.model import (
     ClockRef,
@@ -34,16 +45,13 @@ from repro.lint.time.model import (
     from_name,
     instant,
     is_exempt,
-    is_host_side,
-    join,
     kinds_conflict,
     may_advance_host,
     module_clock_side,
-    module_tail,
     read_signature,
 )
 
-#: Rule keys (the REPRO70x suffix each finding belongs to).
+#: Rule ids, one per kind of finding.
 CROSS_CLOCK = "REPRO701"
 CLOCK_AUTHORITY = "REPRO702"
 UNATTRIBUTED = "REPRO703"
@@ -64,75 +72,43 @@ _RUNMETRICS_TAIL = ("core", "metrics")
 _SNAPSHOT_TAIL = ("obs", "metrics")
 
 
-def _clip(text, limit=220):
-    return text if len(text) <= limit else text[:limit - 3] + "..."
+class _Interpreter(Interpreter):
+    """The time lattice's transfer functions, clock-expression
+    recognition, and advance-site collection."""
 
-
-class TimeFinding:
-    """One pre-rendered finding, tagged with its rule key."""
-
-    __slots__ = ("rule_key", "path", "lineno", "col", "message")
-
-    def __init__(self, rule_key, path, lineno, col, message):
-        self.rule_key = rule_key
-        self.path = path
-        self.lineno = lineno
-        self.col = col
-        self.message = _clip(message)
-
-
-class TimeReport:
-    """Everything one time analysis produced."""
-
-    __slots__ = ("findings", "advancers", "chargers")
-
-    def __init__(self, findings, advancers, chargers):
-        self.findings = findings    # [TimeFinding]
-        self.advancers = advancers  # {qualname: (clock, ...)}
-        self.chargers = chargers    # {qualname: (counter, ...)}
-
-    def by_rule(self, rule_key):
-        return [f for f in self.findings if f.rule_key == rule_key]
-
-
-class _AdvanceSite:
-    """One ``<clock>.advance(...)`` call site inside a function."""
-
-    __slots__ = ("node", "ref")
-
-    def __init__(self, node, ref):
-        self.node = node
-        self.ref = ref
-
-
-class _Interpreter:
-    """One forward pass over one function body (nested defs included)."""
+    VALUE_TYPES = (TimeValue,)
+    from_name = staticmethod(from_name)
 
     def __init__(self, program, info, signatures):
-        self.program = program
-        self.info = info
-        self.signatures = signatures
-        self.findings = []
-        self.advance_sites = []
-        self.aliases = program.aliases_by_module.get(info.module, {})
+        super().__init__(program, info, signatures)
+        self.advance_sites = []  # [(Call node, ClockRef)]
         self.side = module_clock_side(info.module)
 
-    # -- plumbing ----------------------------------------------------------
+    def declared_params(self):
+        return self.signatures[self.info.qualname].params
 
-    def report(self, rule_key, node, message):
-        self.findings.append(TimeFinding(
-            rule_key, self.info.path, node.lineno, node.col_offset,
-            message))
+    def known(self, value):
+        return value if isinstance(value, (TimeValue, ClockRef)) else None
 
-    def run(self):
-        node = self.info.node
-        env = {}
-        signature = self.signatures[self.info.qualname]
-        for name, domain in signature.params.items():
-            env[name] = from_name(domain, "`%s` is a %s parameter of `%s`"
-                                  % (name, domain, self.info.qualname))
-        self.exec_block(node.body, env)
-        return self
+    def check_return(self, statement, value):
+        value = self.scalar(value)
+        declared_name = self.signatures[self.info.qualname].returns
+        if declared_name is None or value is None:
+            return
+        want = from_name(declared_name, "declared")
+        if want is None:
+            return
+        if clocks_conflict(want, value):
+            self.report(CROSS_CLOCK, statement,
+                        "`%s` returns a %s value where %s is declared — %s"
+                        % (self.info.qualname, value.domain, declared_name,
+                           value.origin))
+        elif kinds_conflict(want, value):
+            self.report(CROSS_CLOCK, statement,
+                        "`%s` returns an %s where a %s is declared "
+                        "(epoch/interval confusion) — %s"
+                        % (self.info.qualname, value.kind, declared_name,
+                           value.origin))
 
     # -- clock-expression recognition --------------------------------------
 
@@ -167,184 +143,7 @@ class _Interpreter:
                                "host" if side == "host_wall" else "guest"))
         return None
 
-    # -- statements --------------------------------------------------------
-
-    def exec_block(self, statements, env):
-        for statement in statements:
-            self.exec_stmt(statement, env)
-
-    def _assign(self, target, value, env):
-        if isinstance(target, ast.Name):
-            if value is None or isinstance(value, (tuple, list)):
-                env.pop(target.id, None)
-            else:
-                env[target.id] = value
-        elif isinstance(target, (ast.Tuple, ast.List)):
-            elements = list(value) if isinstance(value, (tuple, list)) else []
-            for index, element in enumerate(target.elts):
-                self._assign(element, elements[index]
-                             if index < len(elements) else None, env)
-        elif isinstance(target, (ast.Attribute, ast.Subscript)):
-            self.eval(target.value, env)
-        elif isinstance(target, ast.Starred):
-            self._assign(target.value, None, env)
-
-    def exec_stmt(self, statement, env):
-        if isinstance(statement, ast.Assign):
-            value = self.eval(statement.value, env)
-            for target in statement.targets:
-                self._assign(target, value, env)
-        elif isinstance(statement, ast.AnnAssign):
-            value = (self.eval(statement.value, env)
-                     if statement.value is not None else None)
-            self._assign(statement.target, value, env)
-        elif isinstance(statement, ast.AugAssign):
-            synthetic = ast.BinOp(left=statement.target,
-                                  op=statement.op, right=statement.value)
-            ast.copy_location(synthetic, statement)
-            ast.fix_missing_locations(synthetic)
-            value = self._eval_BinOp(synthetic, env)
-            self._assign(statement.target, value, env)
-        elif isinstance(statement, ast.Return):
-            self._exec_return(statement, env)
-        elif isinstance(statement, ast.Expr):
-            self.eval(statement.value, env)
-        elif isinstance(statement, ast.If):
-            self.eval(statement.test, env)
-            after_body = dict(env)
-            self.exec_block(statement.body, after_body)
-            after_orelse = dict(env)
-            self.exec_block(statement.orelse, after_orelse)
-            self._merge_into(env, after_body, after_orelse)
-        elif isinstance(statement, (ast.For, ast.AsyncFor)):
-            self.eval(statement.iter, env)
-            body_env = dict(env)
-            self._assign(statement.target, None, body_env)
-            self.exec_block(statement.body, body_env)
-            self.exec_block(statement.orelse, body_env)
-            self._assign(statement.target, None, env)
-            self._merge_into(env, env, body_env)
-        elif isinstance(statement, ast.While):
-            self.eval(statement.test, env)
-            body_env = dict(env)
-            self.exec_block(statement.body, body_env)
-            self.exec_block(statement.orelse, body_env)
-            self._merge_into(env, env, body_env)
-        elif isinstance(statement, (ast.With, ast.AsyncWith)):
-            for item in statement.items:
-                value = self.eval(item.context_expr, env)
-                if item.optional_vars is not None:
-                    self._assign(item.optional_vars, value, env)
-            self.exec_block(statement.body, env)
-        elif isinstance(statement, ast.Try):
-            after_body = dict(env)
-            self.exec_block(statement.body, after_body)
-            merged = after_body
-            for handler in statement.handlers:
-                after_handler = dict(env)
-                self.exec_block(handler.body, after_handler)
-                merged = self._merged(merged, after_handler)
-            self._merge_into(env, env, merged)
-            self.exec_block(statement.orelse, env)
-            self.exec_block(statement.finalbody, env)
-        elif isinstance(statement, ast.Delete):
-            for target in statement.targets:
-                self._assign(target, None, env)
-        elif isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            # Nested helper (e.g. a `_flush` closure): interpret
-            # its body in a copy of the enclosing env, so closed-over
-            # clock references keep their inferred side and its advance
-            # sites are attributed to *this* top-level function.
-            inner = dict(env)
-            for arg in statement.args.args:
-                inner.pop(arg.arg, None)
-            self.exec_block(statement.body, inner)
-        elif isinstance(statement, (ast.ClassDef, ast.Import,
-                                    ast.ImportFrom, ast.Global,
-                                    ast.Nonlocal, ast.Pass, ast.Break,
-                                    ast.Continue)):
-            pass
-        else:
-            for child in ast.iter_child_nodes(statement):
-                if isinstance(child, ast.expr):
-                    self.eval(child, env)
-
-    def _merged(self, env_a, env_b):
-        merged = {}
-        for name, value in env_a.items():
-            kept = join(value, env_b.get(name))
-            if kept is not None:
-                merged[name] = kept
-        return merged
-
-    def _merge_into(self, env, env_a, env_b):
-        merged = self._merged(env_a, env_b)
-        env.clear()
-        env.update(merged)
-
-    def _exec_return(self, statement, env):
-        if statement.value is None:
-            return
-        value = self._scalar(self.eval(statement.value, env))
-        declared_name = self.signatures[self.info.qualname].returns
-        if declared_name is None or value is None:
-            return
-        want = from_name(declared_name, "declared")
-        if want is None:
-            return
-        if clocks_conflict(want, value):
-            self.report(CROSS_CLOCK, statement,
-                        "`%s` returns a %s value where %s is declared — %s"
-                        % (self.info.qualname, value.domain, declared_name,
-                           value.origin))
-        elif kinds_conflict(want, value):
-            self.report(CROSS_CLOCK, statement,
-                        "`%s` returns an %s where a %s is declared "
-                        "(epoch/interval confusion) — %s"
-                        % (self.info.qualname, value.kind, declared_name,
-                           value.origin))
-
     # -- expressions -------------------------------------------------------
-
-    def eval(self, node, env):
-        method = getattr(self, "_eval_" + type(node).__name__, None)
-        if method is not None:
-            return method(node, env)
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.expr):
-                self.eval(child, env)
-        return None
-
-    def _eval_Name(self, node, env):
-        return env.get(node.id)
-
-    def _eval_Constant(self, node, env):
-        return None
-
-    def _eval_Tuple(self, node, env):
-        return tuple(self.eval(element, env) for element in node.elts)
-
-    def _eval_NamedExpr(self, node, env):
-        value = self.eval(node.value, env)
-        self._assign(node.target, value, env)
-        return value
-
-    def _eval_IfExp(self, node, env):
-        self.eval(node.test, env)
-        return join(self._known(self.eval(node.body, env)),
-                    self._known(self.eval(node.orelse, env)))
-
-    def _eval_BoolOp(self, node, env):
-        merged = self._known(self.eval(node.values[0], env))
-        for value in node.values[1:]:
-            merged = join(merged, self._known(self.eval(value, env)))
-        return merged
-
-    def _eval_UnaryOp(self, node, env):
-        value = self.eval(node.operand, env)
-        if isinstance(node.op, (ast.USub, ast.UAdd)):
-            return self._scalar(value)
-        return None
 
     def _eval_Attribute(self, node, env):
         ref = self._clock_of(node, env)
@@ -361,18 +160,10 @@ class _Interpreter:
         self.eval(node.value, env)
         return None
 
-    @staticmethod
-    def _scalar(value):
-        return value if isinstance(value, TimeValue) else None
-
-    @staticmethod
-    def _known(value):
-        return value if isinstance(value, (TimeValue, ClockRef)) else None
-
     def _eval_Compare(self, node, env):
-        values = [self._scalar(self.eval(node.left, env))]
+        values = [self.scalar(self.eval(node.left, env))]
         for comparator in node.comparators:
-            values.append(self._scalar(self.eval(comparator, env)))
+            values.append(self.scalar(self.eval(comparator, env)))
         for index, op in enumerate(node.ops):
             if not isinstance(op, _ORDERED_CMPS):
                 continue
@@ -391,8 +182,8 @@ class _Interpreter:
         return None
 
     def _eval_BinOp(self, node, env):
-        left = self._scalar(self.eval(node.left, env))
-        right = self._scalar(self.eval(node.right, env))
+        left = self.scalar(self.eval(node.left, env))
+        right = self.scalar(self.eval(node.right, env))
         if not isinstance(node.op, _ADDITIVE_OPS):
             return None
         if left is None or right is None:
@@ -419,20 +210,15 @@ class _Interpreter:
     # -- calls -------------------------------------------------------------
 
     def _eval_Call(self, node, env):
-        argument_values = [self.eval(arg, env) for arg in node.args]
-        keyword_values = {kw.arg: self.eval(kw.value, env)
-                          for kw in node.keywords if kw.arg is not None}
-        for keyword in node.keywords:
-            if keyword.arg is None:
-                self.eval(keyword.value, env)
+        argument_values, keyword_values = self._eval_arguments(node, env)
         func = node.func
         if isinstance(func, ast.Attribute):
             if func.attr == "advance":
                 ref = self._clock_of(func.value, env)
                 if ref is not None:
-                    self.advance_sites.append(_AdvanceSite(node, ref))
+                    self.advance_sites.append((node, ref))
                     for value in argument_values:
-                        value = self._scalar(value)
+                        value = self.scalar(value)
                         if value is not None and value.kind == "instant":
                             self.report(
                                 CROSS_CLOCK, node,
@@ -455,24 +241,6 @@ class _Interpreter:
         return from_name(signature.returns,
                          "`%s(...)` returns declared %s"
                          % (candidates[0], signature.returns))
-
-    def _bound_arguments(self, node, callee, argument_values, keyword_values):
-        """[(param name, value node, value)] for checkable arguments."""
-        if any(isinstance(arg, ast.Starred) for arg in node.args):
-            return []
-        parameters = [arg.arg for arg in callee.node.args.args]
-        if (callee.cls is not None and parameters
-                and parameters[0] in ("self", "cls")):
-            parameters = parameters[1:]
-        bound = []
-        for index, value in enumerate(argument_values):
-            if index < len(parameters):
-                bound.append((parameters[index], node.args[index], value))
-        for keyword in node.keywords:
-            if keyword.arg in keyword_values:
-                bound.append((keyword.arg, keyword.value,
-                              keyword_values[keyword.arg]))
-        return bound
 
     def _check_arguments(self, node, candidates, argument_values,
                          keyword_values):
@@ -505,7 +273,7 @@ class _Interpreter:
             if len(names) != 1:
                 continue  # declaring candidates disagree: stay quiet
             declared_name = names.pop()
-            value = self._scalar(value)
+            value = self.scalar(value)
             if value is None:
                 continue
             declared = from_name(declared_name, "declared")
@@ -525,51 +293,49 @@ class _Interpreter:
                                value.kind, value.origin))
 
 
-def _site_findings(info, signature, interp):
+def _site_findings(info, signature, advance_sites):
     """REPRO702/REPRO703 for one function's collected advance sites."""
     findings = []
     if is_exempt(info.module):
         return findings
-    for site in interp.advance_sites:
-        node, ref = site.node, site.ref
+
+    def fail(rule_id, node, message):
+        findings.append(AnalysisFinding(rule_id, info.path, node.lineno,
+                                        node.col_offset, message))
+
+    for node, ref in advance_sites:
         if ref.via_host:
-            findings.append(TimeFinding(
-                CLOCK_AUTHORITY, info.path, node.lineno, node.col_offset,
-                _clip("`%s` advances the host clock through a "
-                      "VirtualClock's `.host` — VM-side code must charge "
-                      "its own virtual view and let the pass-through in "
-                      "repro.common.clock bill host wall time (%s)"
-                      % (info.qualname, ref.origin))))
+            fail(CLOCK_AUTHORITY, node,
+                 "`%s` advances the host clock through a VirtualClock's "
+                 "`.host` — VM-side code must charge its own virtual view "
+                 "and let the pass-through in repro.common.clock bill host "
+                 "wall time (%s)" % (info.qualname, ref.origin))
         elif (ref.clock == "host_wall"
               and not may_advance_host(info.module, info.cls)):
-            findings.append(TimeFinding(
-                CLOCK_AUTHORITY, info.path, node.lineno, node.col_offset,
-                _clip("`%s` advances the shared host clock, but only "
-                      "VCpuScheduler and Host hold that authority — %s"
-                      % (info.qualname, ref.origin))))
+            fail(CLOCK_AUTHORITY, node,
+                 "`%s` advances the shared host clock, but only "
+                 "VCpuScheduler and Host hold that authority — %s"
+                 % (info.qualname, ref.origin))
         side = "host_wall" if ref.clock == "host_wall" else "guest_sim"
         if not ref.via_host and side not in signature.advances:
-            findings.append(TimeFinding(
-                CLOCK_AUTHORITY, info.path, node.lineno, node.col_offset,
-                _clip("`%s` advances a %s clock without declaring "
-                      "@advances(%r) — %s"
-                      % (info.qualname, side, side, ref.origin))))
+            fail(CLOCK_AUTHORITY, node,
+                 "`%s` advances a %s clock without declaring "
+                 "@advances(%r) — %s"
+                 % (info.qualname, side, side, ref.origin))
         if not signature.charges:
-            findings.append(TimeFinding(
-                UNATTRIBUTED, info.path, node.lineno, node.col_offset,
-                _clip("unattributed clock advance in `%s`: declare "
-                      "@charges(<RunMetrics counter>) or an explicit "
-                      "@charges(\"sink:...\") so total_cycles stays the "
-                      "sum of its parts (%s)"
-                      % (info.qualname, ref.origin))))
+            fail(UNATTRIBUTED, node,
+                 "unattributed clock advance in `%s`: declare "
+                 "@charges(<RunMetrics counter>) or an explicit "
+                 "@charges(\"sink:...\") so total_cycles stays the "
+                 "sum of its parts (%s)" % (info.qualname, ref.origin))
     for clock in signature.advances:
         if (clock == "host_wall"
                 and not may_advance_host(info.module, info.cls)):
-            findings.append(TimeFinding(
+            findings.append(AnalysisFinding(
                 CLOCK_AUTHORITY, info.path, info.lineno, 0,
-                _clip("`%s` declares @advances(\"host_wall\") but only "
-                      "VCpuScheduler and Host may advance the shared "
-                      "host clock" % info.qualname)))
+                "`%s` declares @advances(\"host_wall\") but only "
+                "VCpuScheduler and Host may advance the shared "
+                "host clock" % info.qualname))
     return findings
 
 
@@ -609,9 +375,10 @@ def _method_def(class_node, name):
     return None
 
 
-def _tuple_assignment(tree, name):
-    """The string elements of a module-level ``NAME = ("a", "b", ...)``."""
-    for node in tree.body:
+def _tuple_assignment(body, name):
+    """The string elements of a ``NAME = ("a", "b", ...)`` statement in
+    ``body`` (a module's or a class's), and its line."""
+    for node in body:
         if not isinstance(node, ast.Assign):
             continue
         if not any(isinstance(t, ast.Name) and t.id == name
@@ -650,15 +417,15 @@ def _closure_findings(program):
     findings = []
 
     def fail(path, lineno, message):
-        findings.append(TimeFinding(MERGE_CLOSURE, path, lineno, 0,
-                                    _clip(message)))
+        findings.append(AnalysisFinding(MERGE_CLOSURE, path, lineno, 0,
+                                        message))
 
     timedomain_module = _module_by_tail(program, _TIMEDOMAIN_TAIL)
     metrics_module = _module_by_tail(program, _RUNMETRICS_TAIL)
     counters = None
     if timedomain_module is not None:
         td_file = program.files_by_module[timedomain_module]
-        counters, counters_line = _tuple_assignment(td_file.tree,
+        counters, counters_line = _tuple_assignment(td_file.tree.body,
                                                     "CYCLE_COUNTERS")
     if metrics_module is not None:
         metrics_file = program.files_by_module[metrics_module]
@@ -702,7 +469,7 @@ def _closure_findings(program):
         snap_file = program.files_by_module[snapshot_module]
         snapshot = _class_def(snap_file.tree, "MetricsSnapshot")
         if snapshot is not None:
-            slots, _line = _tuple_assignment_in_class(snapshot, "__slots__")
+            slots, _line = _tuple_assignment(snapshot.body, "__slots__")
             merge = _method_def(snapshot, "merge")
             to_dict = _method_def(snapshot, "to_dict")
             for slot in slots or ():
@@ -720,61 +487,31 @@ def _closure_findings(program):
     return findings
 
 
-def _tuple_assignment_in_class(class_node, name):
-    for node in class_node.body:
-        if not isinstance(node, ast.Assign):
-            continue
-        if not any(isinstance(t, ast.Name) and t.id == name
-                   for t in node.targets):
-            continue
-        if isinstance(node.value, (ast.Tuple, ast.List)):
-            return [element.value for element in node.value.elts
-                    if isinstance(element, ast.Constant)
-                    and isinstance(element.value, str)], node.lineno
-    return None, None
-
-
 # -- the whole-tree analysis --------------------------------------------------
 
 
-#: Rule key each decorator's syntax errors are reported under.
+#: Rule each decorator's syntax errors are reported under.
 _SYNTAX_ERROR_RULES = {"cycles": CROSS_CLOCK, "advances": CLOCK_AUTHORITY,
                        "charges": UNATTRIBUTED}
 
-_cache_key = None
-_cache_value = None
 
-
+@memoized
 def analyze_time(source_files):
-    """The memoized time-domain analysis of one file set."""
-    global _cache_key, _cache_value
-    key = tuple((f.path, f.content_hash) for f in source_files)
-    if key == _cache_key:
-        return _cache_value
+    """The time-domain analysis of one file set."""
     program = build_program(source_files)
     signatures = {}
     findings = []
     for qualname, info in program.functions.items():
         signature, errors = read_signature(info.node)
         signatures[qualname] = signature
-        for node, message in errors:
-            rule_key = _SYNTAX_ERROR_RULES.get(
-                message.split(" in @", 1)[-1].split(" ", 1)[0], CROSS_CLOCK)
-            findings.append(TimeFinding(rule_key, info.path, node.lineno,
-                                        node.col_offset, _clip(message)))
-    advancers = {}
-    chargers = {}
+        for node, tail, message in errors:
+            findings.append(AnalysisFinding(
+                _SYNTAX_ERROR_RULES[tail], info.path, node.lineno,
+                node.col_offset, message))
     for qualname, info in program.functions.items():
-        signature = signatures[qualname]
-        if signature.advances:
-            advancers[qualname] = signature.advances
-        if signature.charges:
-            chargers[qualname] = signature.charges
         interp = _Interpreter(program, info, signatures).run()
         findings.extend(interp.findings)
-        findings.extend(_site_findings(info, signature, interp))
+        findings.extend(_site_findings(info, signatures[qualname],
+                                       interp.advance_sites))
     findings.extend(_closure_findings(program))
-    report = TimeReport(findings, advancers, chargers)
-    _cache_key = key
-    _cache_value = report
-    return report
+    return Report(findings)

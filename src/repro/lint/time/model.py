@@ -30,6 +30,8 @@ from repro.common.timedomain import (
     SINK_PREFIX,
     TIME_DOMAINS,
 )
+from repro.lint.absint import module_tail
+from repro.lint.rules import tail_name
 
 #: Instant domains and the clock side each one reads.
 INSTANT_CLOCKS = {
@@ -63,10 +65,6 @@ EXEMPT_TAILS = (
     ("common", "clock"),
     ("common", "timedomain"),
 )
-
-
-def module_tail(module):
-    return tuple(module.split(".")[-2:])
 
 
 def is_host_side(module):
@@ -168,23 +166,7 @@ def kinds_conflict(a, b):
     return a.kind != b.kind
 
 
-def join(a, b):
-    """Control-flow join: agreeing points survive, anything else is
-    unknown (quiet, never ⊥ — conflicts only fire at operations)."""
-    if a is not None and a.same_point(b):
-        return a
-    return None
-
-
 # -- declared signatures ------------------------------------------------------
-
-
-def _tail_name(node):
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    if isinstance(node, ast.Name):
-        return node.id
-    return None
 
 
 class Signature:
@@ -198,12 +180,6 @@ class Signature:
         self.advances = advances  # tuple of clock names
         self.charges = charges    # tuple of counter names
 
-    @property
-    def declared(self):
-        return (bool(self.params) or self.returns is not None
-                or bool(self.advances) or bool(self.charges))
-
-
 def _valid_counter(name):
     if name.startswith(SINK_PREFIX):
         return len(name) > len(SINK_PREFIX)
@@ -215,7 +191,8 @@ def read_signature(node):
 
     Unknown domain/clock/counter *names* are kept (not dropped): the
     rules report them rather than silently treating the function as
-    unannotated. Returns (signature, [(node, message)] syntax errors).
+    unannotated. Returns (signature, [(node, decorator tail, message)]
+    syntax errors).
     """
     params = {}
     returns = None
@@ -225,14 +202,14 @@ def read_signature(node):
     for decorator in node.decorator_list:
         if not isinstance(decorator, ast.Call):
             continue
-        tail = _tail_name(decorator.func)
+        tail = tail_name(decorator.func)
         if tail == "cycles":
             for arg in decorator.args:
                 if isinstance(arg, ast.Constant) and isinstance(arg.value,
                                                                 str):
                     returns = arg.value
                     if arg.value not in TIME_DOMAINS:
-                        errors.append((decorator,
+                        errors.append((decorator, tail,
                                        "unknown time domain %r in @cycles "
                                        "on `%s`" % (arg.value, node.name)))
             for keyword in decorator.keywords:
@@ -241,7 +218,7 @@ def read_signature(node):
                         and isinstance(keyword.value.value, str)):
                     params[keyword.arg] = keyword.value.value
                     if keyword.value.value not in TIME_DOMAINS:
-                        errors.append((decorator,
+                        errors.append((decorator, tail,
                                        "unknown time domain %r in @cycles "
                                        "on `%s`" % (keyword.value.value,
                                                     node.name)))
@@ -251,7 +228,7 @@ def read_signature(node):
                                                                 str):
                     advance_clocks.append(arg.value)
                     if arg.value not in CLOCKS:
-                        errors.append((decorator,
+                        errors.append((decorator, tail,
                                        "unknown clock %r in @advances on "
                                        "`%s` (advanceable: %s)"
                                        % (arg.value, node.name,
@@ -262,7 +239,7 @@ def read_signature(node):
                                                                 str):
                     charge_counters.append(arg.value)
                     if not _valid_counter(arg.value):
-                        errors.append((decorator,
+                        errors.append((decorator, tail,
                                        "unknown cycle counter %r in "
                                        "@charges on `%s` (declare a "
                                        "RunMetrics/host counter or a "

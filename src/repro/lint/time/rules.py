@@ -5,29 +5,11 @@ share-one-analysis idiom as the flow and address-domain rules), so
 running the full set costs one abstract interpretation of the tree.
 """
 
-from repro.lint.engine import Finding, ProjectRule
-from repro.lint.time.infer import (
-    CLOCK_AUTHORITY,
-    CROSS_CLOCK,
-    MERGE_CLOSURE,
-    UNATTRIBUTED,
-    analyze_time,
-)
+from repro.lint.absint import AnalysisRule
+from repro.lint.time.infer import analyze_time
 
 
-class _TimeRule(ProjectRule):
-    """Base: render this rule's slice of the shared time report."""
-
-    rule_key = None
-
-    def check_project(self, source_files):
-        report = analyze_time(source_files)
-        for finding in report.by_rule(self.rule_key):
-            yield Finding(self.rule_id, self.name, finding.path,
-                          finding.lineno, finding.col, finding.message)
-
-
-class CrossClockArithmeticRule(_TimeRule):
+class CrossClockArithmeticRule(AnalysisRule):
     """Host wall time and guest virtual time never meet in arithmetic,
     comparisons, or annotated call/return positions."""
 
@@ -35,10 +17,10 @@ class CrossClockArithmeticRule(_TimeRule):
     name = "cross-clock-arith"
     description = ("arithmetic/comparison/argument mixes two time bases "
                    "(host wall vs guest virtual — the PR 9 bug class)")
-    rule_key = CROSS_CLOCK
+    analysis = staticmethod(analyze_time)
 
 
-class ClockAuthorityRule(_TimeRule):
+class ClockAuthorityRule(AnalysisRule):
     """Only VCpuScheduler/Host advance the shared host clock; VM-side
     code goes through its VirtualClock view."""
 
@@ -47,10 +29,10 @@ class ClockAuthorityRule(_TimeRule):
     description = ("an unauthorized advance of the shared host clock, or "
                    "an advance site without a matching @advances "
                    "declaration")
-    rule_key = CLOCK_AUTHORITY
+    analysis = staticmethod(analyze_time)
 
 
-class CycleConservationRule(_TimeRule):
+class CycleConservationRule(AnalysisRule):
     """Every clock-advance site flows into a declared RunMetrics counter
     or an explicitly annotated sink."""
 
@@ -59,10 +41,10 @@ class CycleConservationRule(_TimeRule):
     description = ("a clock advance in a function with no @charges "
                    "declaration — total_cycles would no longer decompose "
                    "into its attributed components")
-    rule_key = UNATTRIBUTED
+    analysis = staticmethod(analyze_time)
 
 
-class MetricsMergeClosureRule(_TimeRule):
+class MetricsMergeClosureRule(AnalysisRule):
     """RunMetrics/MetricsSnapshot cycle fields close over the counter
     vocabulary, both wire formats, and the snapshot merge algebra."""
 
@@ -71,7 +53,7 @@ class MetricsMergeClosureRule(_TimeRule):
     description = ("a cycle field missing from CYCLE_COUNTERS, "
                    "to_dict/from_dict, or the MetricsSnapshot merge — "
                    "charged cycles would be silently dropped")
-    rule_key = MERGE_CLOSURE
+    analysis = staticmethod(analyze_time)
 
 
 #: The time-domain rule set, appended to ``repro check`` / ``--deep``.

@@ -83,6 +83,21 @@ class TestCrossDomainArithmetic:
         )}, [CrossDomainArithmeticRule()])
         assert [f.rule_id for f in findings] == ["REPRO601"]
 
+    def test_comparison_inside_nested_helper_fires_once(self, tmp_path):
+        """A nested def is checked in a copy of the enclosing env, so a
+        closed-over gpa/hpa mix inside the helper is still caught."""
+        findings = domain_lint(tmp_path, {"core/checks.py": (
+            "from repro.common.addrspace import takes\n"
+            "\n"
+            "@takes(gpa=\"gpa\", hpa=\"hpa\")\n"
+            "def outer(gpa, hpa):\n"
+            "    def check():\n"
+            "        return gpa == hpa\n"
+            "    return check()\n"
+        )}, [CrossDomainArithmeticRule()])
+        assert [(f.rule_id, f.line) for f in findings] == [("REPRO601", 6)]
+        assert "cross-domain comparison" in findings[0].message
+
 
 class TestWrongDomainArgument:
     SWAPPED = (
@@ -115,6 +130,37 @@ class TestWrongDomainArgument:
             "@takes(frame=\"hfn\")\n"
             "def caller(frame):\n"
             "    return host_side(frame)\n"
+        )}, [WrongDomainArgumentRule()])
+        assert findings == []
+
+    def test_nested_helper_return_is_not_the_enclosing_return(
+            self, tmp_path):
+        """The helper's ``return hfn`` neither violates the enclosing
+        ``@returns("gfn")`` nor enters its inferred return summary."""
+        findings = domain_lint(tmp_path, {"core/frames.py": (
+            "from repro.common.addrspace import returns, takes\n"
+            "\n"
+            "@takes(gfn=\"gfn\", hfn=\"hfn\")\n"
+            "@returns(\"gfn\")\n"
+            "def declared(gfn, hfn):\n"
+            "    def helper():\n"
+            "        return hfn\n"
+            "    helper()\n"
+            "    return gfn\n"
+            "\n"
+            "@takes(hfn=\"hfn\")\n"
+            "def inferred(hfn):\n"
+            "    def helper():\n"
+            "        return hfn\n"
+            "    helper()\n"
+            "\n"
+            "@takes(gfn=\"gfn\")\n"
+            "def guest_side(gfn):\n"
+            "    return gfn\n"
+            "\n"
+            "@takes(hfn=\"hfn\")\n"
+            "def caller(hfn):\n"
+            "    return guest_side(inferred(hfn))\n"
         )}, [WrongDomainArgumentRule()])
         assert findings == []
 
@@ -294,3 +340,16 @@ class TestWholeRuleSet:
         })
         assert sorted(f.rule_id for f in findings) == [
             "REPRO601", "REPRO602", "REPRO604"]
+        root = str(tmp_path / "repro")
+        assert [f.format() for f in findings] == [
+            root + "/core/checks.py:5:11: REPRO601 [cross-domain-arith] "
+            "cross-domain comparison: gpa (`gpa` is a gpa parameter of "
+            "`repro.core.checks.confused`) vs hpa (`hpa` is a hpa parameter "
+            "of `repro.core.checks.confused`)",
+            root + "/core/frames.py:9:21: REPRO602 [wrong-domain-arg] "
+            "argument `hfn` of `repro.core.frames.host_side` expects hfn, "
+            "got gfn — `gfn` is a gfn parameter of `repro.core.frames.caller`",
+            root + "/core/shift.py:5:11: REPRO604 [frame-byte-confusion] "
+            "page-shifting gfn again: it is already a frame number (`gfn` "
+            "is a gfn parameter of `repro.core.shift.twice`)",
+        ]

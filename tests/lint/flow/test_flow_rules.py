@@ -438,46 +438,6 @@ class TestConfigKeys:
         assert "pwc.nope" in findings[0].message
         assert findings[0].path.endswith("runner/sweep.py")
 
-    CONFIG_WITH_ENUM = (
-        "from dataclasses import dataclass\n"
-        "FLAVOR_ALPHA = \"alpha\"\n"
-        "FLAVOR_BETA = \"beta\"\n"
-        "VALID_FLAVORS = (FLAVOR_ALPHA, FLAVOR_BETA)\n"
-        "@dataclass\n"
-        "class MachineConfig:\n"
-        "    flavor: str = FLAVOR_ALPHA\n"
-    )
-
-    def test_repro502_flags_unhandled_enum_member(self, tmp_path):
-        """A ``VALID_*`` member nothing outside config.py handles is dead."""
-        findings = flow_lint(tmp_path, {
-            "common/config.py": self.CONFIG_WITH_ENUM,
-            "core/machine.py": (
-                "from repro.common.config import FLAVOR_ALPHA\n"
-                "def build(cfg):\n"
-                "    return (cfg.flavor, FLAVOR_ALPHA)\n"
-            ),
-        }, [ConfigKeysRule()])
-        assert len(findings) == 1
-        assert findings[0].rule_id == "REPRO502"
-        assert "VALID_FLAVORS" in findings[0].message
-        assert "'beta'" in findings[0].message
-        assert "dead key" in findings[0].message
-
-    def test_repro502_enum_clean_when_every_member_handled(self, tmp_path):
-        """Handling by constant name or by string literal both count."""
-        findings = flow_lint(tmp_path, {
-            "common/config.py": self.CONFIG_WITH_ENUM,
-            "core/machine.py": (
-                "from repro.common.config import FLAVOR_ALPHA\n"
-                "def build(cfg):\n"
-                "    if cfg.flavor == \"beta\":\n"
-                "        return \"b\"\n"
-                "    return (cfg.flavor, FLAVOR_ALPHA)\n"
-            ),
-        }, [ConfigKeysRule()])
-        assert findings == []
-
 
 class TestCallGraph:
     """Direct checks of the analysis the rules share."""

@@ -3,17 +3,23 @@
 The differential tests render the same tree cold and warm and require
 byte-identical output — text and JSON, findings and suppression audit.
 The speed test is the PR's acceptance criterion: an unchanged tree must
-lint at least 5× faster warm than cold.
+lint at least 5× faster warm than cold. The fingerprint tests pin that
+editing an analyzer invalidates results the old analyzer produced.
 """
 
 import glob
 import io
 import os
+import shutil
 import time
 
+import pytest
+
 import repro
+import repro.lint.cache as cache_module
 from repro.lint.cache import LintCache
 from repro.lint.runner import run_lint
+from repro.runner.fingerprint import clear_fingerprint_cache
 
 BAD = "def f(a=[]):\n    return a\n"
 SUPPRESSED = "def g(b=[]):  # repro: noqa[REPRO102]\n    return b\n"
@@ -88,6 +94,41 @@ class TestDifferential:
                 != cache.key_for(hashes, ["REPRO101", "REPRO401"]))
         assert (cache.key_for(hashes, ["REPRO101"])
                 == cache.key_for(hashes, ["REPRO101"]))
+
+
+@pytest.mark.parametrize("module, rule_id", [
+    ("domains/infer.py", "REPRO601"),
+    ("time/infer.py", "REPRO701"),
+    ("absint.py", "REPRO601"),
+], ids=["domains", "time", "absint"])
+def test_editing_an_analyzer_changes_cache_key(tmp_path, monkeypatch,
+                                               module, rule_id):
+    """The key folds in a recursive code fingerprint of ``repro.lint``,
+    so an edit to an analyzer — a lattice tweak, a new transfer
+    function, a change to the shared interpreter — forces a cold
+    re-analysis rather than serving findings the old code produced."""
+    copy = tmp_path / "lintpkg"
+    shutil.copytree(cache_module._lint_package_root(), copy,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    edited = copy / module
+    assert edited.is_file()
+
+    monkeypatch.setattr(cache_module, "_lint_package_root",
+                        lambda: str(copy))
+    cache = LintCache(str(tmp_path / "cache"))
+    hashes = [("mod.py", "abc")]
+
+    clear_fingerprint_cache()
+    key_before = cache.key_for(hashes, [rule_id])
+    # Fingerprints memoize per process; same tree, same key.
+    assert cache.key_for(hashes, [rule_id]) == key_before
+
+    edited.write_text(edited.read_text() + "\n_TWEAKED = True\n")
+    clear_fingerprint_cache()
+    key_after = cache.key_for(hashes, [rule_id])
+    assert key_after != key_before
+
+    clear_fingerprint_cache()  # don't leak the copy's entry to other tests
 
 
 class TestSpeed:

@@ -118,6 +118,23 @@ class TestCrossClockArithmetic:
         assert [f.rule_id for f in findings] == ["REPRO701"]
         assert "epoch/interval" in findings[0].message
 
+    def test_nested_helper_return_is_not_the_enclosing_return(
+            self, tmp_path):
+        """A nested helper's ``return`` answers to the helper, not to the
+        ``@cycles`` return declared on the enclosing function."""
+        findings = time_lint(tmp_path, {"vmm/policies.py": (
+            "from repro.common.timedomain import cycles\n"
+            "\n"
+            "class Policy:\n"
+            "    @cycles(\"duration\")\n"
+            "    def window(self):\n"
+            "        def stamp():\n"
+            "            return self.clock.now\n"
+            "        start = stamp()\n"
+            "        return 5\n"
+        )})
+        assert findings == []
+
     def test_instant_difference_is_a_duration(self, tmp_path):
         findings = time_lint(tmp_path, {"core/machine.py": (
             "from repro.common.timedomain import cycles\n"
@@ -389,3 +406,24 @@ def test_full_rule_set_reports_each_code_once_per_cause(tmp_path):
     })
     assert sorted(f.rule_id for f in findings) == [
         "REPRO701", "REPRO702", "REPRO703", "REPRO704"]
+    root = str(tmp_path / "repro")
+    assert [f.format() for f in findings] == [
+        root + "/core/machine.py:6:8: REPRO703 [unattributed-cycles] "
+        "unattributed clock advance in `repro.core.machine.System.step`: "
+        "declare @charges(<RunMetrics counter>) or an explicit "
+        "@charges(\"sink:...\") so total_cycles stays the sum of its parts "
+        "(`self.clock` is this machine's own...",
+        root + "/core/metrics.py:5:0: REPRO704 [metrics-merge-closure] "
+        "RunMetrics.walk_cycles is a cycle counter but RunMetrics.to_dict "
+        "never serializes it — the wire format silently drops charged "
+        "cycles",
+        root + "/vmm/policies.py:5:11: REPRO701 [cross-clock-arith] "
+        "cross-clock arithmetic: guest_sim (`window_start` is a guest_sim "
+        "parameter of `repro.vmm.policies.skew`) sub host_wall (`begin` is "
+        "a host_wall parameter of `repro.vmm.policies.skew`)",
+        root + "/vmm/vmm.py:6:8: REPRO702 [clock-authority] "
+        "`repro.vmm.vmm.VMM.poke` advances the host clock through a "
+        "VirtualClock's `.host` — VM-side code must charge its own virtual "
+        "view and let the pass-through in repro.common.clock bill host "
+        "wall time (`self.clock.host` r...",
+    ]
