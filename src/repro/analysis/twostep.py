@@ -37,8 +37,6 @@ class PTUpdateTrace:
         self.nested_nodes = set()
         self.total_pt_writes = 0
         self.eliminated_pt_writes = 0
-        self.trap_counts = {}
-        self.trap_cycles = {}
         self.metrics = None
 
     @property
@@ -98,10 +96,8 @@ def run_step1(workload, config=None, write_threshold=2, write_interval=200_000):
 
     system.vmm.pt_write_hook = hook
     trace.metrics = Simulator(system).run(workload)
-    trace.trap_counts = dict(system.vmm.traps.counts)
-    trace.trap_cycles = dict(system.vmm.traps.cycles)
     # Consider only the measurement window, consistent with every other
-    # metric: the trap counters above were reset at start_measurement,
+    # metric: the trap counters were reset at start_measurement,
     # and a multi-minute real run amortizes its warmup the same way.
     start = system._measurement_start
     events = [(key, now) for key, now in events if now >= start]
@@ -193,7 +189,7 @@ def two_step_projection(workload_factory, config=None):
         base_misses=native_run.tlb_misses, e_ideal=e_ideal,
     )
     vmm_agile = costmodel.agile_vmm_overhead(
-        fractions, shadow_run, trace.trap_cycles, e_ideal=e_ideal,
+        fractions, shadow_run, trace.metrics.trap_cycles, e_ideal=e_ideal,
     )
     return {
         "fractions": fractions,

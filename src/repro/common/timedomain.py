@@ -9,7 +9,7 @@ time — broke bit-identical solo≡consolidated replay and could only be
 caught dynamically by the isolation fuzz oracle. These annotations give
 every cycle-carrying parameter, return value, and clock mutation a
 declared *time domain* so ``repro.lint.time`` can typecheck the
-accounting statically (rules REPRO701–REPRO704; see
+accounting statically (rules REPRO701–REPRO703; see
 ``docs/static_analysis.md``).
 
 Like ``repro.common.effects`` and ``repro.common.addrspace``, the
@@ -67,11 +67,9 @@ TIME_DOMAINS = ("host_wall", "vm_virtual", "guest_sim", "duration")
 #: for a guest-side view; advances through it are ``guest_sim``).
 CLOCKS = ("host_wall", "guest_sim")
 
-#: Every RunMetrics cycle counter an advance may be charged to. The
-#: REPRO704 closure check pins this tuple against the RunMetrics
-#: definition, its ``to_dict``/``from_dict`` wire format, and the
-#: snapshot merge algebra — a counter added to one but not the others
-#: fails ``repro check``.
+#: Every RunMetrics cycle counter an advance may be charged to:
+#: ``tests/core/test_metrics.py`` pins this tuple to exactly the
+#: RunMetrics cycle fields.
 CYCLE_COUNTERS = (
     "total_cycles",
     "ideal_cycles",

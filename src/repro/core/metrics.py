@@ -24,40 +24,62 @@ TABLE6_COLUMNS = (
 #: Version of the ``to_dict`` wire format. Bump on any change to its
 #: keys or value encodings; ``from_dict`` refuses payloads from other
 #: versions so a stale result cache or mixed-version worker pool fails
-#: loudly instead of silently misreading counters.
-METRICS_SCHEMA_VERSION = 1
+#: loudly instead of silently misreading counters. Version 2 dropped
+#: ``cow_faults``, which no run ever wrote.
+METRICS_SCHEMA_VERSION = 2
+
+#: Every scalar count of one run, in wire order: the operation stream,
+#: cycles by component, the MMU's hardware counters, and guest faults.
+#: The live stores (``System`` itself and ``MMUCounters``) keep these
+#: under the same names; ``System.snapshot``, ``System.reset_counters``,
+#: the interval rows and the wire format all loop over this one tuple.
+COUNTS = (
+    "ops",
+    "reads",
+    "writes",
+    "total_cycles",
+    "ideal_cycles",
+    "walk_cycles",
+    "tlb_l2_cycles",
+    "vmm_cycles",
+    "guest_fault_cycles",
+    "tlb_hits_l1",
+    "tlb_hits_l2",
+    "tlb_misses",
+    "walk_refs",
+    "fault_refs",
+    "guest_faults",
+)
+
+#: The per-key tables: walks per degree of nesting (Table VI), and
+#: VMtrap counts and attributed cycles per trap kind.
+TABLES = ("walks_by_depth", "trap_counts", "trap_cycles")
 
 
 class RunMetrics:
-    """Everything measured during one simulated run."""
+    """Everything measured during one simulated run.
 
-    def __init__(self, label, mode, page_size):
+    Keyword arguments name entries of :data:`COUNTS` and :data:`TABLES`;
+    the rest start at zero (or empty). A table may be given as a mapping
+    or as ``(key, value)`` pairs.
+    """
+
+    def __init__(self, label, mode, page_size, **values):
+        unknown = set(values).difference(COUNTS, TABLES)
+        if unknown:
+            raise TypeError("unknown RunMetrics counters: %s"
+                            % ", ".join(sorted(unknown)))
         self.label = label
         self.mode = mode
         self.page_size = page_size
-        # Operation stream.
-        self.ops = 0
-        self.reads = 0
-        self.writes = 0
-        # Cycles by component.
-        self.total_cycles = 0
-        self.ideal_cycles = 0
-        self.walk_cycles = 0
-        self.tlb_l2_cycles = 0
-        self.vmm_cycles = 0
-        self.guest_fault_cycles = 0
-        # Hardware counter snapshot.
-        self.tlb_hits_l1 = 0
-        self.tlb_hits_l2 = 0
-        self.tlb_misses = 0
-        self.walk_refs = 0
-        self.fault_refs = 0
-        self.walks_by_depth = {}
-        # VMM counter snapshot.
-        self.trap_counts = {}
-        self.trap_cycles = {}
-        self.guest_faults = 0
-        self.cow_faults = 0
+        for name in COUNTS:
+            setattr(self, name, values.get(name, 0))
+        for name in TABLES:
+            setattr(self, name, dict(values.get(name, ())))
+
+    def counts(self):
+        """The scalar counts by name, in :data:`COUNTS` order."""
+        return {name: getattr(self, name) for name in COUNTS}
 
     # -- derived quantities (the paper's reporting) --------------------------
 
@@ -128,39 +150,25 @@ class RunMetrics:
         ``walks_by_depth`` is stored as sorted pairs because its keys mix
         ints with the :data:`NESTED_FULL` sentinel string.
         """
-        return {
+        payload = {
             "schema_version": METRICS_SCHEMA_VERSION,
             "label": self.label,
             "mode": self.mode,
             "page_size": str(self.page_size),
-            "ops": self.ops,
-            "reads": self.reads,
-            "writes": self.writes,
-            "total_cycles": self.total_cycles,
-            "ideal_cycles": self.ideal_cycles,
-            "walk_cycles": self.walk_cycles,
-            "tlb_l2_cycles": self.tlb_l2_cycles,
-            "vmm_cycles": self.vmm_cycles,
-            "guest_fault_cycles": self.guest_fault_cycles,
-            "tlb_hits_l1": self.tlb_hits_l1,
-            "tlb_hits_l2": self.tlb_hits_l2,
-            "tlb_misses": self.tlb_misses,
-            "walk_refs": self.walk_refs,
-            "fault_refs": self.fault_refs,
-            "walks_by_depth": sorted(
-                ([key, count] for key, count in self.walks_by_depth.items()),
-                key=lambda pair: str(pair[0])),
-            "trap_counts": dict(self.trap_counts),
-            "trap_cycles": dict(self.trap_cycles),
-            "guest_faults": self.guest_faults,
-            "cow_faults": self.cow_faults,
         }
+        payload.update(self.counts())
+        for name in TABLES:
+            payload[name] = dict(getattr(self, name))
+        payload["walks_by_depth"] = sorted(
+            ([key, count] for key, count in self.walks_by_depth.items()),
+            key=lambda pair: str(pair[0]))
+        return payload
 
     @classmethod
     def from_dict(cls, data):
         """Rebuild a :class:`RunMetrics` from its :meth:`to_dict` form.
 
-        Raises ``ValueError`` on an unknown ``schema_version`` — payloads
+        Raises ``ValueError`` on any other ``schema_version`` — payloads
         written before versioning (no key) are version 1.
         """
         from repro.common.params import PAGE_SIZES
@@ -171,20 +179,8 @@ class RunMetrics:
                 "RunMetrics payload has schema_version %r but this build "
                 "reads version %d; clear the result cache (or regenerate "
                 "the payload) and retry" % (version, METRICS_SCHEMA_VERSION))
-
-        metrics = cls(data["label"], data["mode"], PAGE_SIZES[data["page_size"]])
-        for name in (
-                "ops", "reads", "writes", "total_cycles", "ideal_cycles",
-                "walk_cycles", "tlb_l2_cycles", "vmm_cycles",
-                "guest_fault_cycles", "tlb_hits_l1", "tlb_hits_l2",
-                "tlb_misses", "walk_refs", "fault_refs", "guest_faults",
-                "cow_faults"):
-            setattr(metrics, name, data[name])
-        metrics.walks_by_depth = {key: count
-                                  for key, count in data["walks_by_depth"]}
-        metrics.trap_counts = dict(data["trap_counts"])
-        metrics.trap_cycles = dict(data["trap_cycles"])
-        return metrics
+        return cls(data["label"], data["mode"], PAGE_SIZES[data["page_size"]],
+                   **{name: data[name] for name in COUNTS + TABLES})
 
     def summary(self):
         """A compact dict for reports and benchmarks."""

@@ -272,7 +272,7 @@ class ScenarioRunner:
     def fault_counters(self):
         """Cheap per-op comparable state: guest-side fault accounting."""
         return {
-            "guest_faults": self.system.guest_fault_count,
+            "guest_faults": self.system.guest_faults,
             "minor_faults": sum(p.minor_faults for p in self.procs),
             "cow_faults": sum(p.cow_faults for p in self.procs),
             "prot_violations": self.prot_violations,

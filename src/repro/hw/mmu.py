@@ -16,52 +16,28 @@ from repro.hw.walkstats import NESTED_FULL
 from repro.obs.metrics import NULL_METRICS
 from repro.obs.tracer import NULL_TRACER
 
-# walker.depth histogram encodes the NESTED_FULL sentinel as this bucket
-# value (one past the deepest agile nesting level), keeping the layer-0
-# metrics module free of hw vocabulary.
-DEPTH_NESTED_FULL = 5
-
 
 class MMUCounters:
-    """Aggregate hardware counters, the simulator's `perf` analogue."""
+    """Aggregate hardware counters, the simulator's `perf` analogue.
 
-    __slots__ = (
-        "tlb_hits_l1",
-        "tlb_hits_l2",
-        "tlb_misses",
-        "walk_refs",
-        "fault_refs",
-        "walks_by_depth",
-        "write_upgrades",
-    )
+    Each is named as in ``RunMetrics``, which snapshots them by name.
+    """
+
+    #: The scalar counters; ``walks_by_depth`` is the one table.
+    COUNTS = ("tlb_hits_l1", "tlb_hits_l2", "tlb_misses", "walk_refs",
+              "fault_refs")
+
+    __slots__ = COUNTS + ("walks_by_depth",)
 
     def __init__(self):
-        self.tlb_hits_l1 = 0
-        self.tlb_hits_l2 = 0
-        self.tlb_misses = 0
-        self.walk_refs = 0
-        self.fault_refs = 0
-        # Degree-of-nesting histogram for Table VI: keys 0..4 and 'full'.
-        self.walks_by_depth = {0: 0, 1: 0, 2: 0, 3: 0, 4: 0, NESTED_FULL: 0}
-        self.write_upgrades = 0
+        self.reset()
 
     def reset(self):
         """Zero every counter (start of a measurement window)."""
-        self.tlb_hits_l1 = 0
-        self.tlb_hits_l2 = 0
-        self.tlb_misses = 0
-        self.walk_refs = 0
-        self.fault_refs = 0
-        self.walks_by_depth = {k: 0 for k in self.walks_by_depth}
-        self.write_upgrades = 0
-
-    @property
-    def tlb_hits(self):
-        return self.tlb_hits_l1 + self.tlb_hits_l2
-
-    @property
-    def avg_refs_per_miss(self):
-        return self.walk_refs / self.tlb_misses if self.tlb_misses else 0.0
+        for name in self.COUNTS:
+            setattr(self, name, 0)
+        # Degree-of-nesting histogram for Table VI: keys 0..4 and 'full'.
+        self.walks_by_depth = {0: 0, 1: 0, 2: 0, 3: 0, 4: 0, NESTED_FULL: 0}
 
 
 class TranslationOutcome:
@@ -142,7 +118,6 @@ class MMU:
                     tracer.tlb_hit(self.clock.now if self.clock else 0,
                                    level, ctx.asid)
                 return TranslationOutcome(entry.frame, level, None)
-            self.counters.write_upgrades += 1
         self.walker.cached_refs = 0
         try:
             result = self.walker.walk(va, ctx, is_write)
@@ -154,14 +129,8 @@ class MMU:
         self.counters.walk_refs += result.refs
         if ctx.mode == "agile":
             self.counters.walks_by_depth[result.nested_levels] += 1
-        metrics = self.metrics
-        if metrics.enabled:
-            metrics.observe("walker.refs", result.refs)
-            if ctx.mode == "agile":
-                depth = result.nested_levels
-                metrics.observe("walker.depth",
-                                DEPTH_NESTED_FULL if depth == NESTED_FULL
-                                else depth)
+        if self.metrics.enabled:
+            self.metrics.observe("walker.refs", result.refs)
         if tracer.enabled:
             tracer.walk(self.clock.now if self.clock else 0, result.mode,
                         result.refs, result.nested_levels, result.page_shift,

@@ -1,4 +1,4 @@
-"""Time-domain typestate analysis (rules REPRO701–REPRO704).
+"""Time-domain typestate analysis (rules REPRO701–REPRO703).
 
 An interprocedural abstract interpretation over the PR 5 call graph
 that proves host wall time and guest virtual time never mix (the PR 9
@@ -15,7 +15,6 @@ from repro.lint.time.rules import (
     ClockAuthorityRule,
     CrossClockArithmeticRule,
     CycleConservationRule,
-    MetricsMergeClosureRule,
 )
 
 __all__ = [
@@ -23,5 +22,4 @@ __all__ = [
     "CrossClockArithmeticRule",
     "ClockAuthorityRule",
     "CycleConservationRule",
-    "MetricsMergeClosureRule",
 ]

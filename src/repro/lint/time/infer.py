@@ -13,11 +13,7 @@ kept per function) and produces a :class:`~repro.lint.absint.Report`:
   to durations, a duration shifts an instant along its own clock),
 * the findings for REPRO701 (cross-clock arithmetic/compares/calls),
   REPRO702 (host-clock authority) and REPRO703 (cycle conservation:
-  every clock-advance site sits in a function declaring ``@charges``),
-* the REPRO704 metrics-merge closure checks, which pin the
-  ``RunMetrics``/``MetricsSnapshot`` cycle fields against
-  ``timedomain.CYCLE_COUNTERS``, the ``to_dict``/``from_dict`` wire
-  formats, and the snapshot merge algebra.
+  every clock-advance site sits in a function declaring ``@charges``).
 
 Branches join conservatively (disagreeing values drop to unknown), so
 only operations on two *known* conflicting values report — annotations
@@ -34,7 +30,6 @@ from repro.lint.absint import (
     Interpreter,
     Report,
     memoized,
-    module_tail,
 )
 from repro.lint.flow.analysis import _resolve_call, build_program
 from repro.lint.time.model import (
@@ -55,7 +50,6 @@ from repro.lint.time.model import (
 CROSS_CLOCK = "REPRO701"
 CLOCK_AUTHORITY = "REPRO702"
 UNATTRIBUTED = "REPRO703"
-MERGE_CLOSURE = "REPRO704"
 
 #: Attribute tails that name a clock object on their holder.
 _CLOCK_ATTRS = ("clock", "_clock")
@@ -65,11 +59,6 @@ _ADDITIVE_OPS = (ast.Add, ast.Sub)
 
 #: Comparison operators checked for cross-clock mixing.
 _ORDERED_CMPS = (ast.Eq, ast.NotEq, ast.Lt, ast.LtE, ast.Gt, ast.GtE)
-
-#: Modules the REPRO704 closure checks read (by last-two components).
-_TIMEDOMAIN_TAIL = ("common", "timedomain")
-_RUNMETRICS_TAIL = ("core", "metrics")
-_SNAPSHOT_TAIL = ("obs", "metrics")
 
 
 class _Interpreter(Interpreter):
@@ -339,154 +328,6 @@ def _site_findings(info, signature, advance_sites):
     return findings
 
 
-# -- the REPRO704 metrics-merge closure ---------------------------------------
-
-
-def _module_by_tail(program, tail):
-    for module in program.modules:
-        if module_tail(module) == tail:
-            return module
-    return None
-
-
-def _string_constants(node):
-    return {child.value for child in ast.walk(node)
-            if isinstance(child, ast.Constant)
-            and isinstance(child.value, str)}
-
-
-def _attribute_names(node):
-    return {child.attr for child in ast.walk(node)
-            if isinstance(child, ast.Attribute)}
-
-
-def _class_def(tree, name):
-    for node in tree.body:
-        if isinstance(node, ast.ClassDef) and node.name == name:
-            return node
-    return None
-
-
-def _method_def(class_node, name):
-    for node in class_node.body:
-        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and node.name == name):
-            return node
-    return None
-
-
-def _tuple_assignment(body, name):
-    """The string elements of a ``NAME = ("a", "b", ...)`` statement in
-    ``body`` (a module's or a class's), and its line."""
-    for node in body:
-        if not isinstance(node, ast.Assign):
-            continue
-        if not any(isinstance(t, ast.Name) and t.id == name
-                   for t in node.targets):
-            continue
-        if isinstance(node.value, (ast.Tuple, ast.List)):
-            return [element.value for element in node.value.elts
-                    if isinstance(element, ast.Constant)
-                    and isinstance(element.value, str)], node.lineno
-    return None, None
-
-
-def _init_cycle_fields(class_node):
-    """``self.X`` cycle counters assigned in ``__init__``."""
-    init = _method_def(class_node, "__init__")
-    if init is None:
-        return []
-    fields = []
-    for node in ast.walk(init):
-        if not isinstance(node, ast.Assign):
-            continue
-        for target in node.targets:
-            if (isinstance(target, ast.Attribute)
-                    and isinstance(target.value, ast.Name)
-                    and target.value.id == "self"):
-                name = target.attr
-                if ((name == "total_cycles" or name.endswith("_cycles"))
-                        and name not in fields):
-                    fields.append(name)
-    return fields
-
-
-def _closure_findings(program):
-    """REPRO704: every cycle field is covered by the declared counter
-    vocabulary, both wire formats, and the snapshot merge algebra."""
-    findings = []
-
-    def fail(path, lineno, message):
-        findings.append(AnalysisFinding(MERGE_CLOSURE, path, lineno, 0,
-                                        message))
-
-    timedomain_module = _module_by_tail(program, _TIMEDOMAIN_TAIL)
-    metrics_module = _module_by_tail(program, _RUNMETRICS_TAIL)
-    counters = None
-    if timedomain_module is not None:
-        td_file = program.files_by_module[timedomain_module]
-        counters, counters_line = _tuple_assignment(td_file.tree.body,
-                                                    "CYCLE_COUNTERS")
-    if metrics_module is not None:
-        metrics_file = program.files_by_module[metrics_module]
-        run_metrics = _class_def(metrics_file.tree, "RunMetrics")
-    else:
-        run_metrics = None
-    if run_metrics is not None:
-        fields = _init_cycle_fields(run_metrics)
-        to_dict = _method_def(run_metrics, "to_dict")
-        from_dict = _method_def(run_metrics, "from_dict")
-        to_dict_keys = (_string_constants(to_dict)
-                        if to_dict is not None else None)
-        from_dict_keys = (_string_constants(from_dict)
-                          if from_dict is not None else None)
-        for field in fields:
-            if to_dict_keys is not None and field not in to_dict_keys:
-                fail(metrics_file.path, to_dict.lineno,
-                     "RunMetrics.%s is a cycle counter but "
-                     "RunMetrics.to_dict never serializes it — the wire "
-                     "format silently drops charged cycles" % field)
-            if from_dict_keys is not None and field not in from_dict_keys:
-                fail(metrics_file.path, from_dict.lineno,
-                     "RunMetrics.%s is a cycle counter but "
-                     "RunMetrics.from_dict never restores it — "
-                     "round-tripping a result zeroes charged cycles"
-                     % field)
-            if counters is not None and field not in counters:
-                fail(metrics_file.path, run_metrics.lineno,
-                     "RunMetrics.%s is a cycle counter but "
-                     "timedomain.CYCLE_COUNTERS does not declare it — "
-                     "@charges cannot attribute cycles to it" % field)
-        if counters is not None:
-            for counter in counters:
-                if counter not in fields:
-                    fail(td_file.path, counters_line,
-                         "timedomain.CYCLE_COUNTERS declares %r but "
-                         "RunMetrics defines no such cycle counter — a "
-                         "phantom @charges target" % counter)
-    snapshot_module = _module_by_tail(program, _SNAPSHOT_TAIL)
-    if snapshot_module is not None:
-        snap_file = program.files_by_module[snapshot_module]
-        snapshot = _class_def(snap_file.tree, "MetricsSnapshot")
-        if snapshot is not None:
-            slots, _line = _tuple_assignment(snapshot.body, "__slots__")
-            merge = _method_def(snapshot, "merge")
-            to_dict = _method_def(snapshot, "to_dict")
-            for slot in slots or ():
-                for method, label in ((merge, "merge"),
-                                      (to_dict, "to_dict")):
-                    if method is None:
-                        continue
-                    covered = (_attribute_names(method)
-                               | _string_constants(method))
-                    if slot not in covered:
-                        fail(snap_file.path, method.lineno,
-                             "MetricsSnapshot.%s is never touched by "
-                             "MetricsSnapshot.%s — merged shard "
-                             "snapshots would drop it" % (slot, label))
-    return findings
-
-
 # -- the whole-tree analysis --------------------------------------------------
 
 
@@ -513,5 +354,4 @@ def analyze_time(source_files):
         findings.extend(interp.findings)
         findings.extend(_site_findings(info, signatures[qualname],
                                        interp.advance_sites))
-    findings.extend(_closure_findings(program))
     return Report(findings)

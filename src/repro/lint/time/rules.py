@@ -1,6 +1,6 @@
-"""The REPRO701–REPRO704 time-domain rules.
+"""The REPRO701–REPRO703 time-domain rules.
 
-All four query the one memoized :func:`analyze_time` report (the same
+All three query the one memoized :func:`analyze_time` report (the same
 share-one-analysis idiom as the flow and address-domain rules), so
 running the full set costs one abstract interpretation of the tree.
 """
@@ -44,22 +44,9 @@ class CycleConservationRule(AnalysisRule):
     analysis = staticmethod(analyze_time)
 
 
-class MetricsMergeClosureRule(AnalysisRule):
-    """RunMetrics/MetricsSnapshot cycle fields close over the counter
-    vocabulary, both wire formats, and the snapshot merge algebra."""
-
-    rule_id = "REPRO704"
-    name = "metrics-merge-closure"
-    description = ("a cycle field missing from CYCLE_COUNTERS, "
-                   "to_dict/from_dict, or the MetricsSnapshot merge — "
-                   "charged cycles would be silently dropped")
-    analysis = staticmethod(analyze_time)
-
-
 #: The time-domain rule set, appended to ``repro check`` / ``--deep``.
 TIME_RULES = (
     CrossClockArithmeticRule(),
     ClockAuthorityRule(),
     CycleConservationRule(),
-    MetricsMergeClosureRule(),
 )

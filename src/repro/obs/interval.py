@@ -1,25 +1,17 @@
-"""Interval time-series: RunMetrics-style counters sampled over time.
+"""Interval time-series: the RunMetrics counts sampled over time.
 
 ``RunMetrics`` answers *how much* a run cost; the interval recorder
 answers *when*. Every ``every`` operations (rounded up to the policy
 epoch the simulator already runs, so sampling adds no per-op work) it
-snapshots the cumulative counters into one row. Figure-5-style
-overheads then become plottable over time: the agile policy's
-convergence, the short-lived-process grace period, and trap storms all
-show up as slope changes instead of disappearing into end-of-run
-aggregates.
+takes a ``System.snapshot`` and keeps its scalar counts as one row.
+Figure-5-style overheads then become plottable over time: the agile
+policy's convergence, the short-lived-process grace period, and trap
+storms all show up as slope changes instead of disappearing into
+end-of-run aggregates.
 
 Rows store *cumulative* values; :meth:`IntervalRecorder.deltas` derives
 per-interval rates. Both forms are JSON-safe lists of dicts.
 """
-
-# Counter fields copied verbatim from the live system into each row.
-_CUMULATIVE_FIELDS = (
-    "tlb_misses",
-    "tlb_hits_l1",
-    "tlb_hits_l2",
-    "walk_refs",
-)
 
 
 class IntervalRecorder:
@@ -56,26 +48,16 @@ class IntervalRecorder:
             self.sample(system)
 
     def sample(self, system, boundary=False):
-        """Record one row of cumulative counters from the live system."""
+        """Record one row of cumulative counters from the live system.
+
+        A row is ``op``, ``cycle`` (the clock's reading), ``vmtraps``, and
+        every scalar count of ``system.snapshot()``.
+        """
         self._last_op = system.ops
-        counters = system.mmu.counters
-        row = {
-            "op": system.ops,
-            "cycle": system.clock.now,
-            "ideal_cycles": system.ideal_cycles,
-            "walk_cycles": system.walk_cycles,
-            "tlb_l2_cycles": system.tlb_l2_cycles,
-            "guest_fault_cycles": system.guest_fault_cycles,
-            "guest_faults": system.guest_fault_count,
-        }
-        for name in _CUMULATIVE_FIELDS:
-            row[name] = getattr(counters, name)
-        if system.vmm is not None:
-            row["vmm_cycles"] = system.vmm.traps.total_attributed_cycles
-            row["vmtraps"] = system.vmm.traps.total_traps
-        else:
-            row["vmm_cycles"] = 0
-            row["vmtraps"] = 0
+        metrics = system.snapshot()
+        row = {"op": system.ops, "cycle": system.clock.now,
+               "vmtraps": metrics.vmtraps}
+        row.update(metrics.counts())
         if boundary:
             row["boundary"] = True
         self.rows.append(row)

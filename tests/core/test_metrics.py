@@ -3,7 +3,13 @@
 import pytest
 
 from repro.common.params import FOUR_KB
-from repro.core.metrics import METRICS_SCHEMA_VERSION, RunMetrics
+from repro.common.timedomain import CYCLE_COUNTERS
+from repro.core.metrics import (
+    COUNTS,
+    METRICS_SCHEMA_VERSION,
+    TABLES,
+    RunMetrics,
+)
 from repro.hw.walkstats import NESTED_FULL
 
 
@@ -73,10 +79,15 @@ class TestSchemaVersion:
         assert payload["schema_version"] == METRICS_SCHEMA_VERSION
 
     def test_round_trip_preserves_fields(self):
-        metrics = make_metrics(ops=100, ideal_cycles=200, tlb_misses=4,
-                               trap_counts={"pt_write": 3})
+        values = {name: number for number, name in enumerate(COUNTS, 1)}
+        values.update(walks_by_depth={0: 3, NESTED_FULL: 4},
+                      trap_counts={"pt_write": 5},
+                      trap_cycles={"pt_write": 6})
+        metrics = RunMetrics("test", "agile", FOUR_KB, **values)
         again = RunMetrics.from_dict(metrics.to_dict())
         assert again.to_dict() == metrics.to_dict()
+        for name, value in values.items():
+            assert getattr(again, name) == value, name
 
     def test_unknown_version_rejected_with_clear_error(self):
         payload = make_metrics(ops=100).to_dict()
@@ -89,10 +100,29 @@ class TestSchemaVersion:
         assert "cache" in message  # tells the user how to recover
 
     def test_missing_version_treated_as_v1(self):
-        """Payloads cached before the key existed still load."""
+        """Payloads cached before the key existed are version 1, which
+        this build refuses with the clear-the-cache message."""
         payload = make_metrics(ops=100).to_dict()
         del payload["schema_version"]
-        assert RunMetrics.from_dict(payload).ops == 100
+        with pytest.raises(ValueError) as excinfo:
+            RunMetrics.from_dict(payload)
+        message = str(excinfo.value)
+        assert "schema_version 1 " in message
+        assert "clear the result cache" in message
+
+    def test_unknown_counter_rejected(self):
+        with pytest.raises(TypeError, match="cow_faults"):
+            RunMetrics("test", "agile", FOUR_KB, cow_faults=1)
+
+
+class TestCounterVocabulary:
+    def test_cycle_counters_are_the_runmetrics_cycle_fields(self):
+        """``@charges`` targets exactly the RunMetrics cycle fields: no
+        phantom counter, no cycle field outside the vocabulary. Each
+        survives the wire format (``test_round_trip_preserves_fields``)."""
+        fields = {name for name in COUNTS + TABLES
+                  if name.endswith("_cycles")}
+        assert set(CYCLE_COUNTERS) == fields
 
 
 class TestMixAndRatesSummary:

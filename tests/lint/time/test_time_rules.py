@@ -1,4 +1,4 @@
-"""Fixture tests for the time-domain rules (REPRO701–REPRO704).
+"""Fixture tests for the time-domain rules (REPRO701–REPRO703).
 
 Same discipline as the address-domain fixtures: every positive fixture
 makes its rule fire *exactly once*, the negative variant shows the same
@@ -17,7 +17,6 @@ from repro.lint.time.rules import (
     ClockAuthorityRule,
     CrossClockArithmeticRule,
     CycleConservationRule,
-    MetricsMergeClosureRule,
 )
 
 
@@ -288,86 +287,6 @@ class TestCycleConservation:
         assert "run_batch" in findings[0].message
 
 
-class TestMetricsMergeClosure:
-    def test_cycle_field_missing_from_to_dict_fires(self, tmp_path):
-        findings = time_lint(tmp_path, {"core/metrics.py": (
-            "class RunMetrics:\n"
-            "    def __init__(self):\n"
-            "        self.walk_cycles = 0\n"
-            "\n"
-            "    def to_dict(self):\n"
-            "        return {}\n"
-        )}, [MetricsMergeClosureRule()])
-        assert [f.rule_id for f in findings] == ["REPRO704"]
-        assert "walk_cycles" in findings[0].message
-        assert "to_dict" in findings[0].message
-
-    def test_phantom_counter_fires(self, tmp_path):
-        findings = time_lint(tmp_path, {
-            "common/timedomain.py": (
-                "CYCLE_COUNTERS = (\"ghost_cycles\",)\n"
-            ),
-            "core/metrics.py": (
-                "class RunMetrics:\n"
-                "    def __init__(self):\n"
-                "        self.ops = 0\n"
-            ),
-        }, [MetricsMergeClosureRule()])
-        assert [f.rule_id for f in findings] == ["REPRO704"]
-        assert "ghost_cycles" in findings[0].message
-
-    def test_snapshot_slot_missing_from_merge_fires(self, tmp_path):
-        findings = time_lint(tmp_path, {"obs/metrics.py": (
-            "class MetricsSnapshot:\n"
-            "    __slots__ = (\"counters\", \"gauges\")\n"
-            "\n"
-            "    def merge(self, other):\n"
-            "        self.counters.update(other.counters)\n"
-            "\n"
-            "    def to_dict(self):\n"
-            "        return {\"counters\": self.counters,\n"
-            "                \"gauges\": self.gauges}\n"
-        )}, [MetricsMergeClosureRule()])
-        assert [f.rule_id for f in findings] == ["REPRO704"]
-        assert "gauges" in findings[0].message
-        assert "merge" in findings[0].message
-
-    def test_closed_metrics_are_clean(self, tmp_path):
-        findings = time_lint(tmp_path, {
-            "common/timedomain.py": (
-                "CYCLE_COUNTERS = (\"total_cycles\", \"walk_cycles\")\n"
-            ),
-            "core/metrics.py": (
-                "class RunMetrics:\n"
-                "    def __init__(self):\n"
-                "        self.total_cycles = 0\n"
-                "        self.walk_cycles = 0\n"
-                "\n"
-                "    def to_dict(self):\n"
-                "        return {\"total_cycles\": self.total_cycles,\n"
-                "                \"walk_cycles\": self.walk_cycles}\n"
-                "\n"
-                "    @classmethod\n"
-                "    def from_dict(cls, data):\n"
-                "        metrics = cls()\n"
-                "        for name in (\"total_cycles\", \"walk_cycles\"):\n"
-                "            setattr(metrics, name, data[name])\n"
-                "        return metrics\n"
-            ),
-            "obs/metrics.py": (
-                "class MetricsSnapshot:\n"
-                "    __slots__ = (\"counters\",)\n"
-                "\n"
-                "    def merge(self, other):\n"
-                "        self.counters.update(other.counters)\n"
-                "\n"
-                "    def to_dict(self):\n"
-                "        return {\"counters\": self.counters}\n"
-            ),
-        })
-        assert findings == []
-
-
 def test_full_rule_set_reports_each_code_once_per_cause(tmp_path):
     """One tree with one violation per rule: the full TIME_RULES set
     attributes each finding to its own code, nothing doubles up."""
@@ -395,17 +314,9 @@ def test_full_rule_set_reports_each_code_once_per_cause(tmp_path):
             "    def step(self):\n"
             "        self.clock.advance(3)\n"
         ),
-        "core/metrics.py": (
-            "class RunMetrics:\n"
-            "    def __init__(self):\n"
-            "        self.walk_cycles = 0\n"
-            "\n"
-            "    def to_dict(self):\n"
-            "        return {}\n"
-        ),
     })
     assert sorted(f.rule_id for f in findings) == [
-        "REPRO701", "REPRO702", "REPRO703", "REPRO704"]
+        "REPRO701", "REPRO702", "REPRO703"]
     root = str(tmp_path / "repro")
     assert [f.format() for f in findings] == [
         root + "/core/machine.py:6:8: REPRO703 [unattributed-cycles] "
@@ -413,10 +324,6 @@ def test_full_rule_set_reports_each_code_once_per_cause(tmp_path):
         "declare @charges(<RunMetrics counter>) or an explicit "
         "@charges(\"sink:...\") so total_cycles stays the sum of its parts "
         "(`self.clock` is this machine's own...",
-        root + "/core/metrics.py:5:0: REPRO704 [metrics-merge-closure] "
-        "RunMetrics.walk_cycles is a cycle counter but RunMetrics.to_dict "
-        "never serializes it — the wire format silently drops charged "
-        "cycles",
         root + "/vmm/policies.py:5:11: REPRO701 [cross-clock-arith] "
         "cross-clock arithmetic: guest_sim (`window_start` is a guest_sim "
         "parameter of `repro.vmm.policies.skew`) sub host_wall (`begin` is "

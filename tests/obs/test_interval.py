@@ -2,9 +2,11 @@
 
 import pytest
 
-from repro.core.simulator import run_workload
+from repro.common.config import sandy_bridge_config
+from repro.core.machine import System
+from repro.core.simulator import Simulator, run_workload
 from repro.obs import IntervalRecorder
-from repro.workloads.suite import AstarLike
+from repro.workloads.suite import AstarLike, DedupLike
 
 
 def record_run(every=1024, ops=8000, mode="agile", seed=3):
@@ -64,12 +66,22 @@ class TestIntervalRecorder:
         assert len(boundaries) == 1  # one start_measurement in the suite
 
     def test_last_sample_consistent_with_metrics(self):
-        metrics, recorder = record_run()
+        system = System(sandy_bridge_config(mode="agile"))
+        recorder = IntervalRecorder(every=1024)
+        system.attach_observability(recorder=recorder)
+        metrics = Simulator(system).run(DedupLike(seed=3, ops=8000))
         last = recorder.rows[-1]
         # Cumulative counters can only grow between the last sample and
         # the end of the run.
         assert last["tlb_misses"] <= metrics.tlb_misses
         assert last["ideal_cycles"] <= metrics.ideal_cycles
+        # A row sampled at the end holds exactly the run's scalar counts.
+        recorder.sample(system)
+        row = dict(recorder.rows[-1])
+        assert row.pop("op") == metrics.ops
+        assert row.pop("cycle") == system.clock.now
+        assert row.pop("vmtraps") == metrics.vmtraps
+        assert row == metrics.counts()
 
     def test_deterministic_across_runs(self):
         _m1, r1 = record_run()

@@ -100,9 +100,9 @@ class TestShadowMode:
         base = api.mmap(4 << 12)
         touch_pages(api, base, 4, write=True)
         api.dedup(base, 4 << 12, group=2)
-        faults_before = system.guest_fault_count
+        faults_before = system.guest_faults
         api.write(base + 4096)  # breaks COW sharing
-        assert system.guest_fault_count > faults_before
+        assert system.guest_faults > faults_before
 
     def test_invlpg_traps(self):
         system, api = make("shadow")
