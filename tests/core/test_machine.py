@@ -6,7 +6,9 @@ from repro.common.config import sandy_bridge_config
 from repro.common.errors import SimulationError
 from repro.common.params import TWO_MB
 from repro.core.machine import System
-from repro.core.simulator import MachineAPI
+from repro.core.simulator import MachineAPI, run_workload
+from repro.vmm.vmm import VMM
+from repro.workloads.suite import DedupLike
 
 ALL_MODES = ("native", "nested", "shadow", "agile")
 
@@ -156,6 +158,23 @@ class TestMetricsCollection:
         base = api.mmap(1 << 12)
         api.read(base)
         assert system.collect_metrics().mode_mix() == {}
+
+
+class TestPolicyEpoch:
+    def test_miss_rate_never_negative_after_measurement_start(
+            self, monkeypatch):
+        """reset_counters restarts the epoch miss base with the TLB-miss
+        counter, so the VMM is never handed a negative miss rate."""
+        rates = []
+        set_miss_rate = VMM.set_miss_rate
+
+        def spy(vmm, rate):
+            rates.append(rate)
+            set_miss_rate(vmm, rate)
+
+        monkeypatch.setattr(VMM, "set_miss_rate", spy)
+        run_workload(DedupLike, seed=1, ops=20_000, mode="agile")
+        assert rates and min(rates) >= 0
 
 
 class TestMultiProcess:
