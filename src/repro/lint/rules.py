@@ -322,7 +322,7 @@ class TrapAccountingRule(ProjectRule):
 
     * every trap-kind constant defined *above* ``ALL_TRAP_KINDS`` is a
       member of that tuple (membership is what registers the kind with
-      ``TrapStats``/``RunMetrics.vmtraps`` — a kind defined but left out
+      ``RunMetrics.vmtraps`` — a kind defined but left out
       would silently vanish from the Figure 5 VMM bars),
     * every member of ``ALL_TRAP_KINDS`` is charged somewhere: it appears
       as the kind argument of a ``_trap(...)`` or ``.record(...)`` call,
@@ -413,8 +413,8 @@ class TrapAccountingRule(ProjectRule):
                 yield self.finding(
                     traps_file, _FakeNode(lineno),
                     "trap kind `%s` is defined above ALL_TRAP_KINDS but not a "
-                    "member of it; it would be invisible to TrapStats totals "
-                    "and RunMetrics.vmtraps" % name)
+                    "member of it; it would be invisible to "
+                    "RunMetrics.vmtraps" % name)
             if name not in referenced:
                 yield self.finding(
                     traps_file, _FakeNode(lineno),
