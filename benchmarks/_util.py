@@ -1,31 +1,23 @@
-"""Shared helpers for the benchmark harnesses.
+"""Shared helpers for the benchmark targets.
 
-Every benchmark prints the paper-style rows to stdout *and* appends them
-to ``benchmarks/results/<name>.txt`` so the output survives pytest's
-capture (run with ``-s`` to watch live).
+Every target prints its paper-style rows to stdout *and* writes them to
+``benchmarks/results/<name>.txt``.
 """
 
 import os
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
-# Operation budget per simulated run; override for longer, smoother runs:
-#   REPRO_OPS=200000 pytest benchmarks/ --benchmark-only
-DEFAULT_OPS = int(os.environ.get("REPRO_OPS", "60000"))
-
-# Sweep execution knobs for the grid-shaped harnesses (Table V/VI, Figure 5):
-#   REPRO_WORKERS=8 fans cells across processes;
-#   REPRO_CACHE_DIR=.repro-cache reuses results until src/repro changes.
-DEFAULT_WORKERS = int(os.environ.get("REPRO_WORKERS", "1"))
-CACHE_DIR = os.environ.get("REPRO_CACHE_DIR", "")
-
 
 def default_runner():
-    """A SweepRunner configured from REPRO_WORKERS / REPRO_CACHE_DIR."""
+    """The sweep runner for the grid-shaped targets: REPRO_WORKERS=8 fans
+    cells across processes; REPRO_CACHE_DIR=.repro-cache reuses results
+    until src/repro changes."""
     from repro.runner import ResultCache, SweepRunner
 
-    cache = ResultCache(CACHE_DIR) if CACHE_DIR else None
-    return SweepRunner(workers=DEFAULT_WORKERS, cache=cache)
+    cache_dir = os.environ.get("REPRO_CACHE_DIR")
+    return SweepRunner(workers=int(os.environ.get("REPRO_WORKERS", "1")),
+                       cache=ResultCache(cache_dir) if cache_dir else None)
 
 
 def emit(name, text):
@@ -35,11 +27,6 @@ def emit(name, text):
     print(text)
     with open(os.path.join(RESULTS_DIR, name + ".txt"), "w") as handle:
         handle.write(text + "\n")
-
-
-def run_once(benchmark, func):
-    """Run ``func`` exactly once under pytest-benchmark timing."""
-    return benchmark.pedantic(func, rounds=1, iterations=1)
 
 
 def pct(value):

@@ -3,76 +3,38 @@
 Toggles the A/D-bit hardware assist and the CR3 cache independently and
 measures the VMtrap overhead agile paging pays without them, on the two
 workloads most sensitive to each (dedup: dirty-bit traffic; gcc/dedup:
-context switches).
+context switches). Checked as the ``hwopts.*`` claims.
 """
 
-from repro.analysis.experiments import run_one
+from repro.analysis import claims
+from repro.analysis.experiments import DEFAULT_OPS, hwopt_ablation
 from repro.analysis.tables import format_table
-from repro.workloads.suite import DedupLike, GccLike
 from repro.bench import bench_target
 
-from _util import DEFAULT_OPS, emit, pct, run_once
+from _util import default_runner, emit, pct
 
-VARIANTS = (
-    ("both opts", dict(hw_ad_assist=True, hw_cr3_cache=True)),
-    ("no A/D assist", dict(hw_ad_assist=False, hw_cr3_cache=True)),
-    ("no CR3 cache", dict(hw_ad_assist=True, hw_cr3_cache=False)),
-    ("neither", dict(hw_ad_assist=False, hw_cr3_cache=False)),
-)
-
-
-def test_hardware_optimization_ablation(benchmark):
-    def measure():
-        rows = []
-        results = {}
-        for cls in (DedupLike, GccLike):
-            for label, overrides in VARIANTS:
-                workload = cls(ops=DEFAULT_OPS)
-                metrics = run_one(workload, "agile", **overrides)
-                results[(cls.name, label)] = metrics
-                rows.append((
-                    cls.name,
-                    label,
-                    pct(metrics.vmm_overhead),
-                    metrics.vmtraps,
-                    metrics.trap_counts.get("dirty_sync", 0),
-                    metrics.trap_counts.get("context_switch", 0),
-                ))
-        return rows, results
-
-    rows, results = run_once(benchmark, measure)
-    text = format_table(
-        ("Workload", "Variant", "VMM overhead", "VMtraps",
-         "dirty_sync", "context_switch"),
-        rows,
-        title="Ablation — Section IV hardware optimizations (agile mode)",
-    )
-    emit("ablation_hwopts", text)
-    # The optimizations only remove traps, never add them.
-    for name in ("dedup", "gcc"):
-        assert (results[(name, "both opts")].vmtraps
-                <= results[(name, "neither")].vmtraps)
-    # Dropping the CR3 cache exposes context-switch traps on dedup
-    # (its pipeline switches constantly).
-    assert (results[("dedup", "no CR3 cache")].trap_counts.get("context_switch", 0)
-            > results[("dedup", "both opts")].trap_counts.get("context_switch", 0))
 
 @bench_target("ablation_hwopts", output="BENCH_ablation_hwopts.json")
 def bench(ctx):
     """VMtrap cost of dropping the Section IV hardware optimizations."""
-    ops = ctx.ops(DEFAULT_OPS)
-    workloads = {}
-    for cls in (DedupLike, GccLike):
-        per_variant = {}
-        for label, overrides in VARIANTS:
-            metrics = run_one(cls(ops=ops), "agile", **overrides)
-            key = label.replace(" ", "_").replace("/", "")
-            per_variant[key] = {
-                "vmm_overhead": metrics.vmm_overhead,
-                "vmtraps": metrics.vmtraps,
-                "dirty_sync": metrics.trap_counts.get("dirty_sync", 0),
-                "context_switch": metrics.trap_counts.get(
-                    "context_switch", 0),
-            }
-        workloads[cls.name] = per_variant
-    return {"ops": ops, "workloads": workloads}
+    ops = ctx.ops(DEFAULT_OPS, quick=claims.min_ops("ablation_hwopts"))
+    results = hwopt_ablation(ops=ops, runner=default_runner())
+    emit("ablation_hwopts", format_table(
+        ("Workload", "Variant", "VMM overhead", "VMtraps",
+         "dirty_sync", "context_switch"),
+        [(name, label, pct(m.vmm_overhead), m.vmtraps,
+          m.trap_counts.get("dirty_sync", 0),
+          m.trap_counts.get("context_switch", 0))
+         for name, variants in results.items()
+         for label, m in variants.items()],
+        title="Ablation — Section IV hardware optimizations (agile mode)",
+    ))
+    return {"ops": ops, "workloads": {
+        name: {label.replace(" ", "_").replace("/", ""): {
+            "vmm_overhead": m.vmm_overhead,
+            "vmtraps": m.vmtraps,
+            "dirty_sync": m.trap_counts.get("dirty_sync", 0),
+            "context_switch": m.trap_counts.get("context_switch", 0),
+        } for label, m in variants.items()}
+        for name, variants in results.items()},
+        "claims": claims.check("ablation_hwopts", results, ops)}

@@ -2,83 +2,43 @@
 
 Compares the two nested=>shadow reversion policies (plus no reversion)
 and sweeps the shadow=>nested write threshold, reporting where TLB
-misses get served and how many VMtraps remain.
+misses get served and how many VMtraps remain. Checked as the
+``policies.*`` claims.
 """
 
-from dataclasses import replace
-
-from repro.common.config import sandy_bridge_config
-from repro.core.machine import System
-from repro.core.simulator import Simulator
-from repro.workloads.suite import MemcachedLike
+from repro.analysis import claims
+from repro.analysis.experiments import DEFAULT_OPS, policy_ablation
 from repro.analysis.tables import format_table
 from repro.bench import bench_target
 
-from _util import DEFAULT_OPS, emit, pct, run_once
+from _util import default_runner, emit, pct
 
+LABELS = {
+    "dirty_reversion": "dirty-bit reversion",
+    "simple_reversion": "simple reversion",
+    "no_reversion": "no reversion",
+    "threshold_1": "threshold=1",
+    "threshold_8": "threshold=8",
+}
 
-def run_with_policy(ops=DEFAULT_OPS, **policy_overrides):
-    config = sandy_bridge_config(mode="agile")
-    config = replace(config, policy=replace(config.policy, **policy_overrides))
-    system = System(config)
-    return Simulator(system).run(MemcachedLike(ops=ops))
-
-
-def test_policy_ablation(benchmark):
-    def measure():
-        rows = []
-        results = {}
-        for label, overrides in (
-            ("dirty-bit reversion", dict(revert_policy="dirty")),
-            ("simple reversion", dict(revert_policy="simple")),
-            ("no reversion", dict(revert_policy="none")),
-            ("threshold=1", dict(write_threshold=1)),
-            ("threshold=8", dict(write_threshold=8)),
-        ):
-            metrics = run_with_policy(**overrides)
-            results[label] = metrics
-            mix = metrics.mode_mix()
-            rows.append((
-                label,
-                pct(mix.get("Shadow", 0.0)),
-                "%.2f" % metrics.avg_refs_per_miss,
-                metrics.vmtraps,
-                pct(metrics.vmm_overhead),
-                pct(metrics.page_walk_overhead),
-            ))
-        return rows, results
-
-    rows, results = run_once(benchmark, measure)
-    text = format_table(
-        ("Policy variant", "Shadow-mode misses", "Avg refs/miss",
-         "VMtraps", "VMM overhead", "PW overhead"),
-        rows,
-        title="Ablation — switching policies (memcached, agile mode)",
-    )
-    emit("ablation_policies", text)
-    # An eager trigger (threshold=1) must not trap more than a lazy one.
-    assert results["threshold=1"].vmtraps <= results["threshold=8"].vmtraps
-    # Without reversion, fewer misses are served in full shadow mode.
-    assert (results["no reversion"].mode_mix().get("Shadow", 0.0)
-            <= results["dirty-bit reversion"].mode_mix().get("Shadow", 0.0) + 1e-9)
 
 @bench_target("ablation_policies", output="BENCH_ablation_policies.json")
 def bench(ctx):
     """Switching-policy design space on memcached (Section III-C)."""
-    ops = ctx.ops(DEFAULT_OPS)
-    policies = {}
-    for label, overrides in (
-        ("dirty_reversion", dict(revert_policy="dirty")),
-        ("simple_reversion", dict(revert_policy="simple")),
-        ("no_reversion", dict(revert_policy="none")),
-        ("threshold_1", dict(write_threshold=1)),
-        ("threshold_8", dict(write_threshold=8)),
-    ):
-        metrics = run_with_policy(ops=ops, **overrides)
-        policies[label] = {
-            "shadow_fraction": metrics.mode_mix().get("Shadow", 0.0),
-            "avg_refs_per_miss": metrics.avg_refs_per_miss,
-            "vmtraps": metrics.vmtraps,
-            "vmm_overhead": metrics.vmm_overhead,
-        }
-    return {"ops": ops, "policies": policies}
+    ops = ctx.ops(DEFAULT_OPS, quick=claims.min_ops("ablation_policies"))
+    results = policy_ablation(ops=ops, runner=default_runner())
+    emit("ablation_policies", format_table(
+        ("Policy variant", "Shadow-mode misses", "Avg refs/miss",
+         "VMtraps", "VMM overhead", "PW overhead"),
+        [(LABELS[key], pct(m.mode_mix().get("Shadow", 0.0)),
+          "%.2f" % m.avg_refs_per_miss, m.vmtraps, pct(m.vmm_overhead),
+          pct(m.page_walk_overhead)) for key, m in results.items()],
+        title="Ablation — switching policies (memcached, agile mode)",
+    ))
+    return {"ops": ops, "policies": {
+        key: {"shadow_fraction": m.mode_mix().get("Shadow", 0.0),
+              "avg_refs_per_miss": m.avg_refs_per_miss,
+              "vmtraps": m.vmtraps,
+              "vmm_overhead": m.vmm_overhead}
+        for key, m in results.items()},
+        "claims": claims.check("ablation_policies", results, ops)}

@@ -13,119 +13,38 @@ world switches).
 
 The gated headline mirrors the paper's claim under multiplexing: at the
 highest consolidation ratio, agile's mean per-VM overhead stays at or
-below the best constituent's (``summary.agile_vs_best_overhead_ratio``,
-deterministic), alongside a generous wall-clock floor
-(``summary.min_guest_ops_per_sec``, host-dependent).
+below the best constituent's (the ``consolidation.agile_le_best`` claim;
+``summary.agile_vs_best_overhead_ratio`` gates its erosion), alongside a
+generous wall-clock floor (``summary.min_guest_ops_per_sec``,
+host-dependent). The grid itself is
+``repro.analysis.experiments.consolidation``; this file adds the
+wall-clock timing.
 
 Regenerate the repo-root report with::
 
     PYTHONPATH=src python -m repro bench consolidation
 """
 
-import os
-import sys
 import time
 
-sys.path.insert(
-    0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
-
-from repro.bench import BenchContext, Gate, bench_target  # noqa: E402
-from repro.common.config import (  # noqa: E402
-    MODE_AGILE,
-    MODE_NESTED,
-    MODE_SHADOW,
-    HostConfig,
-    sandy_bridge_config,
+from repro.analysis import claims
+from repro.analysis.experiments import (
+    HOST_FRAMES,
+    VM_FRAMES,
+    consolidation,
+    consolidation_cell,
+    consolidation_summary,
 )
-from repro.core.hostsys import run_consolidated  # noqa: E402
-from repro.workloads.consolidation import (  # noqa: E402
-    ContextSwitchStorm,
-    PackedHog,
-    ReclaimThrasher,
-)
-
-MODES = (MODE_NESTED, MODE_SHADOW, MODE_AGILE)
-VM_COUNTS = (1, 2, 4)
-
-#: Fixed physical budget and per-VM reservation: 1-2 VMs fit, 4 VMs
-#: overcommit roughly 5:4 on reservations and ~1.6:1 on live frames,
-#: which is what pushes the ledger into balloon reclaim at 4:1.
-HOST_FRAMES = 1536
-VM_FRAMES = 2048
-
-# The hog is sized past the 512-entry L2 TLB (the default 512-page
-# footprint warms into full TLB residency and measures nothing).
-TENANTS = (
-    lambda ops, seed: PackedHog(ops=ops, seed=seed, npages=1024,
-                                hot_pages=96),
-    lambda ops, seed: ContextSwitchStorm(ops=ops, seed=seed),
-    lambda ops, seed: ReclaimThrasher(ops=ops, seed=seed),
-)
+from repro.bench import Gate, bench_target
 
 
-def _tenants(count, ops, seed):
-    """N deterministic tenants, cycling through the family."""
-    return [TENANTS[i % len(TENANTS)](ops, seed + i)
-            for i in range(count)]
-
-
-def _cell(mode, vms, ops, seed):
-    machine_config = sandy_bridge_config(mode=mode)
-    host_config = HostConfig(vms=vms, host_frames=HOST_FRAMES,
-                             vm_frames=VM_FRAMES)
-    workloads = _tenants(vms, ops, seed)
+def _timed_cell(mode, vms, ops, seed):
+    """One grid cell plus its host wall-clock guest throughput."""
     start = time.perf_counter()
-    per_vm, report = run_consolidated(
-        workloads, host_config=host_config, machine_config=machine_config)
-    elapsed = time.perf_counter() - start
-    total_ops = sum(m.ops for m in per_vm)
-    overheads = [m.page_walk_overhead + m.vmm_overhead for m in per_vm]
-    return {
-        "mode": mode,
-        "vms": vms,
-        "ops": total_ops,
-        "guest_ops_per_sec": round(total_ops / elapsed),
-        "per_vm_overhead": round(sum(overheads) / len(overheads), 4),
-        "per_vm_overheads": [round(o, 4) for o in overheads],
-        "world_switches": report["world_switches"],
-        "balloon_episodes": report["balloon_episodes"],
-        "balloon_frames": report["balloon_frames"],
-        "overcommit_ratio": report["overcommit_ratio"],
-    }
-
-
-def run_consolidation(ops=8_000, vm_counts=VM_COUNTS, modes=MODES, seed=21):
-    """Run the grid; returns the JSON-ready result dict."""
-    grid = {}
-    for mode in modes:
-        grid[mode] = [_cell(mode, vms, ops, seed) for vms in vm_counts]
-    top = max(vm_counts)
-
-    def overhead_at_top(mode):
-        for cell in grid[mode]:
-            if cell["vms"] == top:
-                return cell["per_vm_overhead"]
-        raise KeyError(top)
-
-    agile = overhead_at_top(MODE_AGILE)
-    best = min(overhead_at_top(MODE_NESTED), overhead_at_top(MODE_SHADOW))
-    cells = [cell for mode in grid for cell in grid[mode]]
-    return {
-        "ops_per_vm": ops,
-        "host_frames": HOST_FRAMES,
-        "vm_frames": VM_FRAMES,
-        "modes": grid,
-        "summary": {
-            "top_ratio": top,
-            "agile_per_vm_overhead": agile,
-            "best_constituent_overhead": best,
-            "agile_vs_best_overhead_ratio": round(agile / best, 4),
-            "min_guest_ops_per_sec": min(c["guest_ops_per_sec"]
-                                         for c in cells),
-            "reclaim_frames_at_top": sum(
-                c["balloon_frames"] for c in cells if c["vms"] == top),
-        },
-    }
+    cell = consolidation_cell(mode, vms, ops, seed)
+    cell["guest_ops_per_sec"] = round(
+        cell["ops"] / (time.perf_counter() - start))
+    return cell
 
 
 @bench_target("consolidation", output="BENCH_consolidation.json",
@@ -135,42 +54,18 @@ def run_consolidation(ops=8_000, vm_counts=VM_COUNTS, modes=MODES, seed=21):
                      # 4x fewer measured ops: gate only against collapse.
                      Gate("summary.min_guest_ops_per_sec", "higher", 0.75)))
 def bench(ctx):
-    """Harness entry point: full grid, or a 1/2-VM smoke grid in --quick."""
-    ops = ctx.ops(8_000, quick=2_000)
-    vm_counts = (1, 2, 4)
-    return run_consolidation(ops=ops, vm_counts=vm_counts)
+    """The timed grid; --quick runs it at the claim's ``min_ops``."""
+    ops = ctx.ops(8_000, quick=claims.min_ops("consolidation"))
+    grid = consolidation(ops=ops, run_cell=_timed_cell)
+    summary = consolidation_summary(grid)
+    summary["min_guest_ops_per_sec"] = min(
+        cell["guest_ops_per_sec"] for cells in grid.values() for cell in cells)
+    return {
+        "ops_per_vm": ops,
+        "host_frames": HOST_FRAMES,
+        "vm_frames": VM_FRAMES,
+        "modes": grid,
+        "summary": summary,
+        "claims": claims.check("consolidation", grid, ops),
+    }
 
-
-def main(argv=None):
-    from repro.bench import run_target
-
-    ctx = BenchContext(quick="--smoke" in (argv or sys.argv[1:]))
-    target = bench.__bench_target__
-    if ctx.quick:
-        # Smoke runs must not clobber the committed full report.
-        import tempfile
-
-        out_dir = tempfile.mkdtemp(prefix="bench-smoke-")
-    else:
-        out_dir = os.path.join(
-            os.path.dirname(os.path.abspath(__file__)), "..")
-    report, path = run_target(target, ctx, out_dir=out_dir)
-    result = report["result"]
-    for mode, cells in result["modes"].items():
-        for cell in cells:
-            print("%-7s N=%d  %8d guest ops/s  overhead %8.3f  "
-                  "balloon %5d frames  ws %4d"
-                  % (mode, cell["vms"], cell["guest_ops_per_sec"],
-                     cell["per_vm_overhead"], cell["balloon_frames"],
-                     cell["world_switches"]))
-    summary = result["summary"]
-    print("at %d:1 agile %.3f vs best %.3f (ratio %.3f)"
-          % (summary["top_ratio"], summary["agile_per_vm_overhead"],
-             summary["best_constituent_overhead"],
-             summary["agile_vs_best_overhead_ratio"]))
-    print("report written to %s" % os.path.normpath(path))
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

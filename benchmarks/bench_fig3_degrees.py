@@ -2,53 +2,36 @@
 
 Reproduces the access orders of Figure 3(a)-(f): a shadow prefix of the
 walk followed by (guest PTE read + host walk) groups once the switching
-bit flips the walk to nested mode.
+bit flips the walk to nested mode. Checked as the ``fig3.*`` claims.
 """
 
+from repro.analysis import claims
+from repro.analysis.claims import PAPER_JOURNAL_LENGTHS
 from repro.analysis.experiments import figure3_journals
 from repro.analysis.tables import format_table
 from repro.bench import bench_target
 
-from _util import emit, run_once
-
-PAPER_LENGTHS = {
-    "shadow-only": 4,
-    "switch@4th": 8,
-    "switch@3rd": 12,
-    "switch@2nd": 16,
-    "switch@1st": 20,
-    "nested-only": 24,
-}
+from _util import emit
 
 
 def _render(journal):
-    return " ".join("%s.L%d" % (structure[0], level) for structure, level in journal)
+    return " ".join("%s.L%d" % (structure[0], level)
+                    for structure, level in journal)
 
-
-def test_figure3_access_orders(benchmark):
-    journals = run_once(benchmark, figure3_journals)
-    rows = [
-        (label, len(journal), _render(journal)[:96])
-        for label, journal in journals.items()
-    ]
-    text = format_table(
-        ("Degree", "Refs", "Chronological accesses (s=sPT g=gPT h=hPT)"),
-        rows,
-        title="Figure 3 — access orders by degree of nesting",
-    )
-    emit("figure3", text)
-    for label, expected in PAPER_LENGTHS.items():
-        assert len(journals[label]) == expected, label
-    # Shadow prefix then a guest-PT read, as drawn in Figure 3(b).
-    assert [s for s, _l in journals["switch@4th"][:3]] == ["sPT"] * 3
-    assert journals["switch@4th"][3][0] == "gPT"
 
 @bench_target("fig3_degrees", output="BENCH_fig3_degrees.json")
 def bench(ctx):
     """Journal lengths per degree of nesting (paper Figure 3)."""
     journals = figure3_journals()
+    emit("figure3", format_table(
+        ("Degree", "Refs", "Chronological accesses (s=sPT g=gPT h=hPT)"),
+        [(label, len(journal), _render(journal)[:96])
+         for label, journal in journals.items()],
+        title="Figure 3 — access orders by degree of nesting",
+    ))
     return {
         "lengths": {label: len(journal)
                     for label, journal in journals.items()},
-        "paper_lengths": dict(PAPER_LENGTHS),
+        "paper_lengths": dict(PAPER_JOURNAL_LENGTHS),
+        "claims": claims.check("figure3", journals, ops=0),
     }

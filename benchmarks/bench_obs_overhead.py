@@ -18,13 +18,14 @@ configurations —
 
 and enforces the ISSUE acceptance bound twice: tracing-off *and*
 metrics-off wall time within 2 % of baseline (with a small absolute
-floor so sub-millisecond timing jitter on tiny REPRO_OPS runs cannot
-flake the suite). Full tracing/metrics are reported for scale but have
+floor so sub-millisecond timing jitter on tiny ``--ops`` runs cannot
+flake the target). Full tracing/metrics are reported for scale but have
 no bound — materializing events is the price of the data.
 """
 
 import time
 
+from repro.analysis.experiments import DEFAULT_OPS
 from repro.bench import bench_target
 from repro.common.config import sandy_bridge_config
 from repro.core.machine import System
@@ -34,7 +35,7 @@ from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.workloads.suite import DedupLike
 from repro.analysis.tables import format_table
 
-from _util import DEFAULT_OPS, emit, pct, run_once
+from _util import emit, pct
 
 #: Acceptance bound for observability-off overhead (ISSUE: <= 2%).
 MAX_OFF_OVERHEAD = 0.02
@@ -77,7 +78,7 @@ def _timed(ops, attach=None):
 
 
 def _check(timings):
-    """The invariants both the pytest harness and ``repro bench`` assert."""
+    """The invariants ``repro bench obs_overhead`` asserts."""
     baseline_s, baseline = timings["baseline"]
     # Instrumentation must never perturb results, on or off.
     for label, (_s, metrics) in timings.items():
@@ -110,23 +111,18 @@ def _run(ops):
     return timings
 
 
-def test_observability_off_is_free(benchmark):
-    timings = run_once(benchmark, lambda: _run(DEFAULT_OPS))
-    text = format_table(
-        ("Configuration", "best-of-%d s" % TIMING_ROUNDS, "vs baseline"),
-        _rows(timings),
-        title=("Observability overhead — dedup/agile, "
-               "%d ops (acceptance: off <= %s)"
-               % (DEFAULT_OPS, pct(MAX_OFF_OVERHEAD))),
-    )
-    emit("obs_overhead", text)
-
-
 @bench_target("obs_overhead", output="BENCH_obs_overhead.json")
 def bench(ctx):
     """Per-configuration overheads against the 2% bound."""
     ops = ctx.ops(DEFAULT_OPS)
     timings = _run(ops)
+    emit("obs_overhead", format_table(
+        ("Configuration", "best-of-%d s" % TIMING_ROUNDS, "vs baseline"),
+        _rows(timings),
+        title=("Observability overhead — dedup/agile, "
+               "%d ops (acceptance: off <= %s)"
+               % (ops, pct(MAX_OFF_OVERHEAD))),
+    ))
     baseline_s, _ = timings["baseline"]
     return {
         "ops": ops,

@@ -3,110 +3,37 @@
 Three feature-targeted micro-workloads show that large pages,
 content-based page sharing (COW), and memory-pressure reclaim all work
 under agile paging — and that agile adapts (moving churny subtrees to
-nested mode) instead of paying shadow-paging's trap storms.
+nested mode) instead of paying shadow-paging's trap storms. Checked as
+the ``features.*`` claims.
 """
 
-from repro.common.config import sandy_bridge_config
-from repro.common.params import TWO_MB
-from repro.core.machine import System
-from repro.core.simulator import MachineAPI
+from repro.analysis import claims
+from repro.analysis.experiments import paging_features
 from repro.analysis.tables import format_table
 from repro.bench import bench_target
 
-from _util import emit, pct, run_once
+from _util import emit, pct
 
+LABELS = {"cow_sharing": "cow-sharing", "mem_pressure": "mem-pressure",
+          "large_pages": "2M-pages"}
 
-def _sharing_run(mode):
-    """Content-based sharing: dedup a region, then break it with writes."""
-    system = System(sandy_bridge_config(mode=mode))
-    api = MachineAPI(system)
-    api.spawn()
-    base = api.mmap(128 << 12)
-    for i in range(128):
-        api.write(base + i * 4096)
-    api.start_measurement()
-    shared = api.dedup(base, 128 << 12, group=2)
-    for i in range(0, 128, 2):
-        api.write(base + (i + 1) * 4096)  # break each shared pair
-    return system.collect_metrics("sharing"), shared
-
-
-def _pressure_run(mode):
-    """Memory pressure: repeated clock-scan reclaim (referenced-bit
-    clearing is a page-table write storm under shadow paging)."""
-    system = System(sandy_bridge_config(mode=mode))
-    api = MachineAPI(system)
-    api.spawn()
-    base = api.mmap(256 << 12)
-    for i in range(256):
-        api.write(base + i * 4096)
-    api.start_measurement()
-    for _round in range(8):
-        for i in range(256):
-            api.read(base + i * 4096)
-        api.reclaim(16)
-    return system.collect_metrics("pressure"), None
-
-
-def _large_page_run(mode):
-    """2 MB pages at both translation stages (Section V)."""
-    system = System(sandy_bridge_config(mode=mode, page_size=TWO_MB))
-    api = MachineAPI(system)
-    api.spawn(code_pages=1)
-    base = api.mmap(16 << 21)
-    for i in range(16):
-        api.write(base + i * (1 << 21))
-    api.start_measurement()
-    for _round in range(20):
-        for i in range(16):
-            api.read(base + i * (1 << 21) + 4096 * (_round % 512))
-    return system.collect_metrics("large-pages"), None
-
-
-def test_paging_features(benchmark):
-    def measure():
-        rows = []
-        results = {}
-        for feature, runner in (("cow-sharing", _sharing_run),
-                                ("mem-pressure", _pressure_run),
-                                ("2M-pages", _large_page_run)):
-            for mode in ("shadow", "agile"):
-                metrics, _extra = runner(mode)
-                results[(feature, mode)] = metrics
-                rows.append((feature, mode, metrics.vmtraps,
-                             pct(metrics.vmm_overhead),
-                             "%.2f" % metrics.avg_refs_per_miss))
-        return rows, results
-
-    rows, results = run_once(benchmark, measure)
-    text = format_table(
-        ("Feature", "Mode", "VMtraps", "VMM overhead", "Avg refs/miss"),
-        rows,
-        title="Section V — paging features under shadow vs agile",
-    )
-    emit("paging_features", text)
-    # Agile adapts: fewer traps than shadow on the churny features.
-    assert (results[("cow-sharing", "agile")].vmtraps
-            <= results[("cow-sharing", "shadow")].vmtraps)
-    assert (results[("mem-pressure", "agile")].vmtraps
-            < results[("mem-pressure", "shadow")].vmtraps)
-    # 2M pages translate correctly under agile.
-    assert results[("2M-pages", "agile")].ops > 0
 
 @bench_target("paging_features", output="BENCH_paging_features.json")
 def bench(ctx):
     """Feature micro-workloads (COW, reclaim, 2M pages), shadow vs agile."""
-    features = {}
-    for feature, runner in (("cow_sharing", _sharing_run),
-                            ("mem_pressure", _pressure_run),
-                            ("large_pages", _large_page_run)):
-        per_mode = {}
-        for mode in ("shadow", "agile"):
-            metrics, _extra = runner(mode)
-            per_mode[mode] = {
-                "vmtraps": metrics.vmtraps,
-                "vmm_overhead": metrics.vmm_overhead,
-                "avg_refs_per_miss": metrics.avg_refs_per_miss,
-            }
-        features[feature] = per_mode
-    return {"features": features}
+    results = paging_features()
+    emit("paging_features", format_table(
+        ("Feature", "Mode", "VMtraps", "VMM overhead", "Avg refs/miss"),
+        [(LABELS[feature], mode, m.vmtraps, pct(m.vmm_overhead),
+          "%.2f" % m.avg_refs_per_miss)
+         for feature, per_mode in results.items()
+         for mode, m in per_mode.items()],
+        title="Section V — paging features under shadow vs agile",
+    ))
+    return {"features": {
+        feature: {mode: {"vmtraps": m.vmtraps,
+                         "vmm_overhead": m.vmm_overhead,
+                         "avg_refs_per_miss": m.avg_refs_per_miss}
+                  for mode, m in per_mode.items()}
+        for feature, per_mode in results.items()},
+        "claims": claims.check("paging_features", results, ops=0)}

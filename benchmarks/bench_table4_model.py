@@ -2,74 +2,32 @@
 
 Runs one workload under native/nested/shadow, feeds the measured
 counters through the paper's formulas, and checks the derived overheads
-agree with the simulator's own accounting.
+agree with the simulator's own accounting (the
+``table4.model_matches_sim`` claim).
 """
 
-import pytest
-
-from repro.common.config import sandy_bridge_config
-from repro.core import costmodel
-from repro.core.simulator import run_workload
-from repro.workloads.suite import McfLike
+from repro.analysis import claims
+from repro.analysis.experiments import DEFAULT_OPS, table4
 from repro.analysis.tables import format_table
 from repro.bench import bench_target
 
-from _util import DEFAULT_OPS, emit, pct, run_once
+from _util import default_runner, emit, pct
 
-
-def test_table4_model_consistency(benchmark):
-    def measure():
-        runs = {}
-        for mode in ("native", "nested", "shadow"):
-            metrics = run_workload(McfLike(ops=DEFAULT_OPS),
-                                   sandy_bridge_config(mode=mode))
-            runs[mode] = metrics
-        return runs
-
-    runs = run_once(benchmark, measure)
-    native = costmodel.measured_run_from_metrics(runs["native"])
-    e_ideal = costmodel.ideal_cycles(native)
-    rows = []
-    for mode, metrics in runs.items():
-        run = costmodel.measured_run_from_metrics(metrics)
-        rows.append((
-            mode,
-            pct(costmodel.page_walk_overhead(run, e_ideal)),
-            pct(costmodel.vmm_overhead(run, e_ideal)),
-            "%.1f" % run.avg_cycles_per_miss,
-        ))
-    text = format_table(
-        ("Config", "PW (model)", "VMM (model)", "Cycles/miss (C)"),
-        rows,
-        title="Table IV — performance-model outputs on measured runs (mcf)",
-    )
-    emit("table4", text)
-
-    # The model's PW for the native run must reproduce the simulator's
-    # own accounting: both express the same walk cycles, over different
-    # ideal-time baselines (the model's E_ideal folds in L2-TLB and
-    # fault handling time; the simulator's ideal_cycles does not).
-    model_pw = costmodel.page_walk_overhead(native, e_ideal)
-    direct_pw = runs["native"].page_walk_overhead
-    assert model_pw * e_ideal == pytest.approx(
-        direct_pw * runs["native"].ideal_cycles, rel=0.01
-    )
 
 @bench_target("table4_model", output="BENCH_table4_model.json")
 def bench(ctx):
     """Linear-model overheads on measured runs (paper Table IV)."""
-    ops = ctx.ops(DEFAULT_OPS)
-    runs = {mode: run_workload(McfLike(ops=ops),
-                               sandy_bridge_config(mode=mode))
-            for mode in ("native", "nested", "shadow")}
-    native = costmodel.measured_run_from_metrics(runs["native"])
-    e_ideal = costmodel.ideal_cycles(native)
-    modes = {}
-    for mode, metrics in runs.items():
-        run = costmodel.measured_run_from_metrics(metrics)
-        modes[mode] = {
-            "page_walk_overhead": costmodel.page_walk_overhead(run, e_ideal),
-            "vmm_overhead": costmodel.vmm_overhead(run, e_ideal),
-            "cycles_per_miss": run.avg_cycles_per_miss,
-        }
-    return {"ops": ops, "modes": modes}
+    ops = ctx.ops(DEFAULT_OPS, quick=claims.min_ops("table4"))
+    results = table4(ops=ops, runner=default_runner())
+    modes = {mode: {key: row[key] for key in ("page_walk_overhead",
+                                              "vmm_overhead",
+                                              "cycles_per_miss")}
+             for mode, row in results["modes"].items()}
+    emit("table4", format_table(
+        ("Config", "PW (model)", "VMM (model)", "Cycles/miss (C)"),
+        [(mode, pct(row["page_walk_overhead"]), pct(row["vmm_overhead"]),
+          "%.1f" % row["cycles_per_miss"]) for mode, row in modes.items()],
+        title="Table IV — performance-model outputs on measured runs (mcf)",
+    ))
+    return {"ops": ops, "modes": modes,
+            "claims": claims.check("table4", results, ops)}

@@ -3,65 +3,33 @@
 The paper could only *project* agile paging's performance through the
 two-step trace methodology and the Table IV linear model. Our simulator
 can also run agile paging directly — so this benchmark validates the
-methodology port by comparing the projection with the direct run.
+methodology port by comparing the projection with the direct run (the
+``twostep.*`` claims: both beat or tie the best constituent).
 """
 
-from repro.analysis.model import compare_projection_to_direct
-from repro.analysis.twostep import two_step_projection
-from repro.common.config import sandy_bridge_config
-from repro.core.simulator import run_workload
-from repro.workloads.suite import DedupLike, GccLike, McfLike
+from repro.analysis import claims
+from repro.analysis.experiments import DEFAULT_OPS, twostep
 from repro.analysis.tables import format_table
 from repro.bench import bench_target
 
-from _util import DEFAULT_OPS, emit, pct, run_once
+from _util import default_runner, emit, pct
 
-
-def test_twostep_projection_vs_direct(benchmark):
-    def measure():
-        rows = []
-        checks = []
-        for cls in (McfLike, GccLike, DedupLike):
-            factory = lambda c=cls: c(ops=DEFAULT_OPS)
-            projection = two_step_projection(factory)
-            direct = run_workload(factory(), sandy_bridge_config(mode="agile"))
-            comparison = compare_projection_to_direct(projection, direct)
-            projected, measured = comparison["total_overhead"]
-            shadow = (projection["shadow"].page_walk_overhead
-                      + projection["shadow"].vmm_overhead)
-            nested = (projection["nested"].page_walk_overhead
-                      + projection["nested"].vmm_overhead)
-            rows.append((cls.name, pct(projected), pct(measured),
-                         pct(shadow), pct(nested)))
-            checks.append((cls.name, projected, measured, shadow, nested))
-        return rows, checks
-
-    rows, checks = run_once(benchmark, measure)
-    text = format_table(
-        ("Workload", "Agile (projected)", "Agile (direct sim)",
-         "Shadow", "Nested"),
-        rows,
-        title="Two-step methodology — projection vs direct simulation",
-    )
-    emit("twostep", text)
-    for name, projected, measured, shadow, nested in checks:
-        best = min(shadow, nested)
-        # Both the projection and the direct run beat (or tie) the best
-        # constituent — the paper's central claim, twice derived.
-        assert projected <= best + 0.02, name
-        assert measured <= best + 0.02, name
 
 @bench_target("twostep_model", output="BENCH_twostep_model.json")
 def bench(ctx):
     """Two-step projection vs direct simulation, three workloads."""
-    ops = ctx.ops(DEFAULT_OPS)
-    workloads = {}
-    for cls in (McfLike, GccLike, DedupLike):
-        factory = lambda c=cls: c(ops=ops)
-        projection = two_step_projection(factory)
-        direct = run_workload(factory(), sandy_bridge_config(mode="agile"))
-        comparison = compare_projection_to_direct(projection, direct)
-        projected, measured = comparison["total_overhead"]
-        workloads[cls.name] = {"projected_overhead": projected,
-                               "direct_overhead": measured}
-    return {"ops": ops, "workloads": workloads}
+    ops = ctx.ops(DEFAULT_OPS, quick=claims.min_ops("twostep"))
+    results = twostep(ops=ops, runner=default_runner())
+    emit("twostep", format_table(
+        ("Workload", "Agile (projected)", "Agile (direct sim)",
+         "Shadow", "Nested"),
+        [(name, pct(row["projected"]), pct(row["direct"]),
+          pct(row["shadow"]), pct(row["nested"]))
+         for name, row in results.items()],
+        title="Two-step methodology — projection vs direct simulation",
+    ))
+    return {"ops": ops, "workloads": {
+        name: {"projected_overhead": row["projected"],
+               "direct_overhead": row["direct"]}
+        for name, row in results.items()},
+        "claims": claims.check("twostep", results, ops)}

@@ -1,17 +1,19 @@
 """Experiment runners: one function per table/figure in the paper.
 
-Each returns structured data; the benchmark harnesses print it in the
-paper's row format and EXPERIMENTS.md records paper-vs-measured.
+Each returns structured data; the ``repro bench`` targets print it in
+the paper's row format, :mod:`repro.analysis.claims` checks the paper's
+claims on it, and EXPERIMENTS.md records paper-vs-measured. Bench
+targets and tier-1 call the same functions, at different op budgets.
 
-The grid-shaped experiments (Table V, Table VI, Figure 5) are built on
-:mod:`repro.runner`: each ``<name>_cells`` function enumerates the
-sweep as frozen :class:`CellSpec` cells, and the matching experiment
-function executes them through a :class:`SweepRunner` — pass
-``runner=SweepRunner(workers=N, cache=ResultCache(...))`` to fan the
-sweep across processes and/or reuse cached cells; the default runs
-serially in-process with results identical to the pre-runner code path.
-The hand-instrumented micro-measurements (Tables I/II, Figure 3) poke
-VMM internals mid-run and stay direct.
+The grid-shaped experiments (Tables IV/V/VI, Figure 5, the SHSP
+comparison, the ablations and the two-step comparison's direct runs)
+are built on :mod:`repro.runner`: they enumerate frozen
+:class:`CellSpec` cells and execute them through a :class:`SweepRunner`
+— pass ``runner=SweepRunner(workers=N, cache=ResultCache(...))`` to fan
+the sweep across processes and/or reuse cached cells; the default runs
+serially in-process. The hand-instrumented micro-measurements (Tables
+I/II, Figure 3, the Section V feature runs) poke the machine mid-run and
+stay direct.
 """
 
 from dataclasses import replace
@@ -22,6 +24,7 @@ from repro.common.config import (
     MODE_NATIVE,
     MODE_NESTED,
     MODE_SHADOW,
+    MODE_SHSP,
     HostConfig,
     sandy_bridge_config,
 )
@@ -35,11 +38,9 @@ from repro.workloads.suite import SUITE
 DEFAULT_OPS = 60_000
 
 
-def run_one(workload, mode, page_size=FOUR_KB, **overrides):
-    """Run one workload under one configuration; returns RunMetrics."""
-    config = sandy_bridge_config(mode=mode, page_size=page_size, **overrides)
-    system = System(config)
-    return Simulator(system).run(workload)
+def translation_overhead(metrics):
+    """Figure 5's bar height: page-walk plus VMM overhead."""
+    return metrics.page_walk_overhead + metrics.vmm_overhead
 
 
 def _sweep(cells, runner):
@@ -47,6 +48,20 @@ def _sweep(cells, runner):
     if runner is None:
         runner = SweepRunner(workers=1)
     return runner.run(cells).raise_on_failure()
+
+
+def _run_keyed(cells, runner):
+    """Run ``{key: CellSpec}`` through the runner: ``{key: RunMetrics}``."""
+    sweep = _sweep(list(cells.values()), runner)
+    return {key: sweep.metrics_for(cell) for key, cell in cells.items()}
+
+
+def _nest(runs):
+    """``{(outer, inner): value}`` as ``{outer: {inner: value}}``."""
+    nested = {}
+    for (outer, inner), value in runs.items():
+        nested.setdefault(outer, {})[inner] = value
+    return nested
 
 
 def _suite_classes(workload_names):
@@ -85,128 +100,92 @@ def table1_measurements(ops=2_000):
         api.read(base)
         max_refs = system.mmu.counters.walk_refs - before_refs
         assert system.mmu.counters.tlb_misses == before_misses + 1
-        # Now: does a page-table update trap to the VMM?
-        if mode == MODE_AGILE:
-            # Steady state: the dynamic leaf is nested, updates direct.
-            traps_before = system.vmm.traps.count("pt_write")
-            system.kernel.current.page_table.set_flags(base, writable=False)
-            pt_update_traps = system.vmm.traps.count("pt_write") - traps_before
-        elif mode in (MODE_SHADOW,):
-            traps_before = system.vmm.traps.count("pt_write")
-            system.kernel.current.page_table.set_flags(base, writable=False)
-            pt_update_traps = system.vmm.traps.count("pt_write") - traps_before
-        elif mode == MODE_NESTED:
-            system.kernel.current.page_table.set_flags(base, writable=False)
-            pt_update_traps = system.vmm.traps.count("pt_write")
-        else:
-            system.kernel.current.page_table.set_flags(base, writable=False)
-            pt_update_traps = 0
-        measurements[mode] = {
-            "max_refs": max_refs,
-            "pt_update_traps": pt_update_traps,
-        }
+        # Does a page-table update trap to the VMM? (Agile's steady
+        # state: the dynamic leaf is nested, so updates go direct.)
+        before = system.vmm.traps.count("pt_write") if system.vmm else 0
+        system.kernel.current.page_table.set_flags(base, writable=False)
+        pt_update_traps = (system.vmm.traps.count("pt_write") - before
+                           if system.vmm else 0)
+        measurements[mode] = {"max_refs": max_refs,
+                              "pt_update_traps": pt_update_traps}
     return measurements
 
 
 # -- Table II / Figure 3 ------------------------------------------------------------
 
 
-@policy_decision
-def table2_measurements():
-    """Measured total walk references at every degree of nesting.
+#: Figure 3's label for each degree of nesting (nested guest levels).
+DEGREE_LABELS = {0: "shadow-only", 1: "switch@4th", 2: "switch@3rd",
+                 3: "switch@2nd", 4: "switch@1st", "nested": "nested-only"}
 
-    Builds one agile system, walks the same address with the switching
-    point at each level (PWC disabled), and records total references.
-    Returns {0: 4, 1: 8, 2: 12, 3: 16, 4: 20, "nested": 24}.
-    """
+
+@policy_decision
+def _at_each_degree(measure):
+    """``{degree: measure(system, api, base)}`` for one mapped page of an
+    agile system (PWCs off), with the switching point moved to each
+    degree of nesting in turn; ``"nested"`` forces the full-nested path
+    (sptr == gptr) a separate nested-mode system would take."""
+    from repro.common.params import pt_index
+
     config = sandy_bridge_config(mode=MODE_AGILE)
-    config = replace(config, pwc=replace(config.pwc, enabled=False))
-    system = System(config)
+    system = System(replace(config, pwc=replace(config.pwc, enabled=False)))
     api = Simulator(system).api
     api.spawn()
     base = api.mmap(1 << 12)
     api.write(base)
     proc = system.kernel.current
     manager = system.vmm.states[proc.pid].manager
-
-    # Identify the guest PT node at each level along base's path.
-    from repro.common.params import pt_index
-
-    nodes_by_level = {}
-    node = proc.page_table.root
-    nodes_by_level[4] = node
-    for level in (4, 3, 2):
-        node = proc.page_table.node_at(node.get(pt_index(base, level)).frame)
-        nodes_by_level[level - 1] = node
-
-    def measure():
-        system.mmu.flush_all()
-        before = system.mmu.counters.walk_refs
-        api.read(base)
-        return system.mmu.counters.walk_refs - before
-
-    totals = {}
-    manager.revert_all()
-    totals[0] = measure()
-    # Switch progressively deeper subtrees: d = nested guest levels.
-    for degree, level in ((1, 1), (2, 2), (3, 3), (4, 4)):
-        manager.revert_all()
-        manager.switch_to_nested(nodes_by_level[level].frame)
-        totals[degree] = measure()
-    # Full nested: a separate nested-mode system would report 24; force
-    # the agile full-nested path (sptr == gptr).
-    manager.revert_all()
-    manager.fully_nested = True
-    totals["nested"] = measure()
-    manager.fully_nested = False
-    return totals
-
-
-@policy_decision
-def figure3_journals():
-    """Chronological access orders per degree of nesting (Figure 3)."""
-    config = sandy_bridge_config(mode=MODE_AGILE)
-    config = replace(config, pwc=replace(config.pwc, enabled=False))
-    system = System(config)
-    api = Simulator(system).api
-    api.spawn()
-    base = api.mmap(1 << 12)
-    api.write(base)
-    proc = system.kernel.current
-    manager = system.vmm.states[proc.pid].manager
-    from repro.common.params import pt_index
-
+    # The guest PT node at each level along base's path.
     node = proc.page_table.root
     nodes_by_level = {4: node}
     for level in (4, 3, 2):
         node = proc.page_table.node_at(node.get(pt_index(base, level)).frame)
         nodes_by_level[level - 1] = node
-
-    journals = {}
-
-    def capture(label):
-        # Prime with a real walk (not a TLB hit) so the VMM refills any
-        # shadow entries zapped by the preceding mode change; then
-        # journal one clean walk.
-        system.mmu.flush_all()
-        api.read(base)
-        system.mmu.flush_all()
-        system.mmu.walker.journal = []
-        api.read(base)
-        journals[label] = list(system.mmu.walker.journal)
-        system.mmu.walker.journal = None
-
-    manager.revert_all()
-    capture("shadow-only")
-    for label, level in (("switch@4th", 1), ("switch@3rd", 2),
-                         ("switch@2nd", 3), ("switch@1st", 4)):
+    results = {}
+    for degree in DEGREE_LABELS:
         manager.revert_all()
-        manager.switch_to_nested(nodes_by_level[level].frame)
-        capture(label)
-    manager.revert_all()
-    manager.fully_nested = True
-    capture("nested-only")
-    return journals
+        if degree == "nested":
+            manager.fully_nested = True
+        elif degree:
+            manager.switch_to_nested(nodes_by_level[degree].frame)
+        results[degree] = measure(system, api, base)
+    manager.fully_nested = False
+    return results
+
+
+def _walk_refs(system, api, base):
+    system.mmu.flush_all()
+    before = system.mmu.counters.walk_refs
+    api.read(base)
+    return system.mmu.counters.walk_refs - before
+
+
+def _journal(system, api, base):
+    # Prime with a real walk (not a TLB hit) so the VMM refills any
+    # shadow entries zapped by the preceding mode change; then journal
+    # one clean walk.
+    system.mmu.flush_all()
+    api.read(base)
+    system.mmu.flush_all()
+    system.mmu.walker.journal = []
+    api.read(base)
+    journal = list(system.mmu.walker.journal)
+    system.mmu.walker.journal = None
+    return journal
+
+
+def table2_measurements():
+    """Measured total walk references at every degree of nesting.
+
+    Returns {0: 4, 1: 8, 2: 12, 3: 16, 4: 20, "nested": 24}.
+    """
+    return _at_each_degree(_walk_refs)
+
+
+def figure3_journals():
+    """Chronological access orders per degree of nesting (Figure 3)."""
+    return {DEGREE_LABELS[degree]: journal
+            for degree, journal in _at_each_degree(_journal).items()}
 
 
 # -- Figure 5 -----------------------------------------------------------------------------
@@ -233,15 +212,12 @@ def figure5(ops=DEFAULT_OPS, workload_names=None, page_sizes=(FOUR_KB, TWO_MB),
     """
     cells = figure5_cells(ops=ops, workload_names=workload_names,
                           page_sizes=page_sizes, modes=modes, **overrides)
-    sweep = _sweep(cells, runner)
-    results = {}
-    for cell in cells:
-        per_config = results.setdefault(cell.workload, {})
-        per_config[(cell.page_size, cell.mode)] = sweep.metrics_for(cell)
-    return results
+    return _nest(_run_keyed(
+        {(cell.workload, (cell.page_size, cell.mode)): cell for cell in cells},
+        runner))
 
 
-def headline_claims(fig5_results, page_size_name="4K"):
+def headline_summary(fig5_results, page_size_name="4K"):
     """Section VII-A: agile vs best-of-constituents and vs native.
 
     Returns per-workload dicts plus geometric means, using total
@@ -251,14 +227,9 @@ def headline_claims(fig5_results, page_size_name="4K"):
 
     rows = []
     for name, configs in fig5_results.items():
-        def total(mode):
-            metrics = configs[(page_size_name, mode)]
-            return metrics.page_walk_overhead + metrics.vmm_overhead
-
-        native = total(MODE_NATIVE)
-        nested = total(MODE_NESTED)
-        shadow = total(MODE_SHADOW)
-        agile = total(MODE_AGILE)
+        native, nested, shadow, agile = (
+            translation_overhead(configs[(page_size_name, mode)])
+            for mode in (MODE_NATIVE, MODE_NESTED, MODE_SHADOW, MODE_AGILE))
         best = min(nested, shadow)
         # Execution time ratio: (1 + overhead_a) / (1 + overhead_b).
         vs_best = (1 + best) / (1 + agile)
@@ -298,8 +269,7 @@ def table5_cells(ops=30_000, workload_names=None):
 def table5(ops=30_000, workload_names=None, runner=None):
     """Table V workload characterization: {workload_name: RunMetrics}."""
     cells = table5_cells(ops=ops, workload_names=workload_names)
-    sweep = _sweep(cells, runner)
-    return {cell.workload: sweep.metrics_for(cell) for cell in cells}
+    return _run_keyed({cell.workload: cell for cell in cells}, runner)
 
 
 # -- Table VI -------------------------------------------------------------------------------------
@@ -315,86 +285,258 @@ def table6_cells(ops=DEFAULT_OPS, workload_names=None):
 def table6(ops=DEFAULT_OPS, workload_names=None, runner=None):
     """Table VI: agile-mode TLB-miss mix with PWCs disabled, 4 KB pages."""
     cells = table6_cells(ops=ops, workload_names=workload_names)
-    sweep = _sweep(cells, runner)
-    return {cell.workload: sweep.metrics_for(cell) for cell in cells}
+    return _run_keyed({cell.workload: cell for cell in cells}, runner)
+
+
+# -- Table IV ---------------------------------------------------------------------------
+
+
+def table4(ops=DEFAULT_OPS, workload_name="mcf", runner=None):
+    """The Table IV linear model applied to measured runs.
+
+    Runs one workload under native/nested/shadow and feeds each run's
+    counters through the paper's formulas, with E_ideal taken from the
+    native run. Returns ``{"e_ideal": cycles, "modes": {mode: row}}``;
+    each row carries the ``metrics`` and the model's
+    ``page_walk_overhead``, ``vmm_overhead`` and ``cycles_per_miss``.
+    """
+    from repro.core import costmodel
+
+    runs = _run_keyed({mode: CellSpec.make(workload_name, mode=mode, ops=ops)
+                       for mode in (MODE_NATIVE, MODE_NESTED, MODE_SHADOW)},
+                      runner)
+    e_ideal = costmodel.ideal_cycles(
+        costmodel.measured_run_from_metrics(runs[MODE_NATIVE]))
+    modes = {}
+    for mode, metrics in runs.items():
+        run = costmodel.measured_run_from_metrics(metrics)
+        modes[mode] = {
+            "metrics": metrics,
+            "page_walk_overhead": costmodel.page_walk_overhead(run, e_ideal),
+            "vmm_overhead": costmodel.vmm_overhead(run, e_ideal),
+            "cycles_per_miss": run.avg_cycles_per_miss,
+        }
+    return {"e_ideal": e_ideal, "modes": modes}
+
+
+# -- Section VI: two-step methodology ---------------------------------------------------
+
+
+def twostep(ops=DEFAULT_OPS, workload_names=("mcf", "gcc", "dedup"),
+            runner=None):
+    """The two-step projection of agile paging next to a direct run:
+    ``{workload: {"projected", "direct", "shadow", "nested"}}`` translation
+    overheads, shadow and nested from the methodology's own runs."""
+    from repro.analysis.model import compare_projection_to_direct
+    from repro.analysis.twostep import two_step_projection
+
+    direct = _run_keyed({name: CellSpec.make(name, mode=MODE_AGILE, ops=ops)
+                         for name in workload_names}, runner)
+    classes = {cls.name: cls for cls in SUITE}
+    results = {}
+    for name in workload_names:
+        projection = two_step_projection(lambda c=classes[name]: c(ops=ops))
+        projected, measured = compare_projection_to_direct(
+            projection, direct[name])["total_overhead"]
+        results[name] = {
+            "projected": projected, "direct": measured,
+            "shadow": translation_overhead(projection["shadow"]),
+            "nested": translation_overhead(projection["nested"])}
+    return results
+
+
+# -- Section VII-C: SHSP ----------------------------------------------------------------
+
+
+SHSP_MODES = (MODE_NESTED, MODE_SHADOW, MODE_SHSP, MODE_AGILE)
+
+
+def shsp_comparison(ops=DEFAULT_OPS, workload_names=("mcf", "canneal", "dedup"),
+                    runner=None):
+    """Agile vs SHSP's whole-process switching: ``{workload: {mode: RunMetrics}}``."""
+    return _nest(_run_keyed({(name, mode): CellSpec.make(name, mode=mode,
+                                                         ops=ops)
+                             for name in workload_names
+                             for mode in SHSP_MODES}, runner))
+
+
+# -- Ablations: Section IV hardware, Section III-C policies -----------------------------
+
+
+HWOPT_VARIANTS = (
+    ("both opts", {"hw_ad_assist": True, "hw_cr3_cache": True}),
+    ("no A/D assist", {"hw_ad_assist": False, "hw_cr3_cache": True}),
+    ("no CR3 cache", {"hw_ad_assist": True, "hw_cr3_cache": False}),
+    ("neither", {"hw_ad_assist": False, "hw_cr3_cache": False}),
+)
+
+
+def hwopt_ablation(ops=DEFAULT_OPS, workload_names=("dedup", "gcc"),
+                   runner=None):
+    """Agile mode under each :data:`HWOPT_VARIANTS` entry:
+    ``{workload: {variant label: RunMetrics}}``."""
+    return _nest(_run_keyed({(name, label): CellSpec.make(
+                                 name, mode=MODE_AGILE, ops=ops,
+                                 overrides=overrides)
+                             for name in workload_names
+                             for label, overrides in HWOPT_VARIANTS}, runner))
+
+
+#: (result key, ``config.policy`` overrides).
+POLICY_VARIANTS = (
+    ("dirty_reversion", {"revert_policy": "dirty"}),
+    ("simple_reversion", {"revert_policy": "simple"}),
+    ("no_reversion", {"revert_policy": "none"}),
+    ("threshold_1", {"write_threshold": 1}),
+    ("threshold_8", {"write_threshold": 8}),
+)
+
+
+def policy_ablation(ops=DEFAULT_OPS, workload_name="memcached", runner=None):
+    """Agile mode under each :data:`POLICY_VARIANTS` entry: ``{key: RunMetrics}``."""
+    return _run_keyed({key: CellSpec.make(workload_name, mode=MODE_AGILE,
+                                          ops=ops,
+                                          overrides={"policy": overrides})
+                       for key, overrides in POLICY_VARIANTS}, runner)
+
+
+# -- Section V: paging features -------------------------------------------------------------
+
+
+def _sharing_run(api):
+    """Content-based sharing: dedup a region, then break it with writes."""
+    base = api.mmap(128 << 12)
+    for i in range(128):
+        api.write(base + i * 4096)
+    api.start_measurement()
+    api.dedup(base, 128 << 12, group=2)
+    for i in range(0, 128, 2):
+        api.write(base + (i + 1) * 4096)  # break each shared pair
+
+
+def _pressure_run(api):
+    """Memory pressure: repeated clock-scan reclaim (referenced-bit
+    clearing is a page-table write storm under shadow paging)."""
+    base = api.mmap(256 << 12)
+    for i in range(256):
+        api.write(base + i * 4096)
+    api.start_measurement()
+    for _round in range(8):
+        for i in range(256):
+            api.read(base + i * 4096)
+        api.reclaim(16)
+
+
+def _large_page_run(api):
+    """2 MB pages at both translation stages (Section V)."""
+    base = api.mmap(16 << 21)
+    for i in range(16):
+        api.write(base + i * (1 << 21))
+    api.start_measurement()
+    for _round in range(20):
+        for i in range(16):
+            api.read(base + i * (1 << 21) + 4096 * (_round % 512))
+
+
+#: (feature key, page size, spawn keyword arguments, body).
+PAGING_FEATURES = (
+    ("cow_sharing", FOUR_KB, {}, _sharing_run),
+    ("mem_pressure", FOUR_KB, {}, _pressure_run),
+    ("large_pages", TWO_MB, {"code_pages": 1}, _large_page_run),
+)
+
+
+def paging_features():
+    """The :data:`PAGING_FEATURES` micro-runs under shadow and agile:
+    ``{feature: {mode: RunMetrics}}``."""
+    from repro.core.simulator import MachineAPI
+
+    results = {}
+    for feature, page_size, spawn, body in PAGING_FEATURES:
+        for mode in (MODE_SHADOW, MODE_AGILE):
+            system = System(sandy_bridge_config(mode=mode,
+                                                page_size=page_size))
+            api = MachineAPI(system)
+            api.spawn(**spawn)
+            body(api)
+            results.setdefault(feature, {})[mode] = (
+                system.collect_metrics(feature))
+    return results
 
 
 # -- Consolidation (multi-VM) -----------------------------------------------------------
 
 
-VIRTUALIZED_MODES = (MODE_NESTED, MODE_SHADOW, MODE_AGILE)
+CONSOLIDATION_MODES = (MODE_NESTED, MODE_SHADOW, MODE_AGILE)
+
+#: Fixed physical budget and per-VM reservation: 1-2 VMs fit, 4 VMs
+#: overcommit roughly 5:4 on reservations and ~1.6:1 on live frames,
+#: which is what pushes the ledger into balloon reclaim at 4:1.
+HOST_FRAMES = 1536
+VM_FRAMES = 2048
 
 
-def consolidation_curve(ops=4_000, ratios=(1, 2, 4), modes=VIRTUALIZED_MODES,
-                        vpid=False, seed=7, **overrides):
-    """Figure-5-style per-VM overhead vs. consolidation ratio.
+def _tenants(count, ops, seed):
+    """N deterministic tenants, cycling through the consolidation family.
 
-    Runs N copies of the CR3-heavy consolidation tenant
-    (:class:`~repro.workloads.consolidation.ContextSwitchStorm`, distinct
-    seeds) on one :class:`~repro.core.hostsys.HostSystem` per (mode, N)
-    point and reports the mean per-VM translation overhead — the same
-    ``page_walk + vmm`` split Figure 5 plots, measured on each VM's own
-    cycles.
-
-    ``vpid=False`` (the default here) models a host without VPID-tagged
-    TLBs: every world switch flushes the incoming guest's TLBs, so the
-    per-VM walk overhead grows with the consolidation ratio at a
-    mode-dependent slope — steeply for nested's two-dimensional walks,
-    gently for shadow's native-depth walks, with agile tracking shadow
-    once its hot subtrees converge. Shadow instead pays a CR3 trap per
-    guest context switch, which agile's gCR3 cache absorbs (Section IV);
-    at 4:1 the curve shows agile at or below min(nested, shadow).
-
-    Returns ``{(mode, ratio): row}`` where each row carries the mean and
-    per-VM overhead components plus host-level accounting.
+    The hog is sized past the 512-entry L2 TLB (the default 512-page
+    footprint warms into full TLB residency and measures nothing).
     """
-    results = {}
+    from repro.workloads.consolidation import CONSOLIDATION_FAMILY
+
+    sizes = ({"npages": 1024, "hot_pages": 96}, {}, {})
+    return [CONSOLIDATION_FAMILY[i % 3](ops=ops, seed=seed + i, **sizes[i % 3])
+            for i in range(count)]
+
+
+def consolidation_cell(mode, vms, ops, seed):
+    """One HostSystem with ``vms`` mixed tenants over :data:`HOST_FRAMES`.
+
+    Returns the mean per-VM translation overhead (page walk + VMM over
+    each VM's own measured cycles) and the host's reclaim accounting.
+    """
     from repro.core.hostsys import run_consolidated
-    from repro.workloads.consolidation import ContextSwitchStorm
 
-    for mode in modes:
-        machine_config = sandy_bridge_config(mode=mode, **overrides)
-        for ratio in ratios:
-            host_config = HostConfig(vms=ratio, vpid=vpid)
-            workloads = [ContextSwitchStorm(ops=ops, seed=seed + i)
-                         for i in range(ratio)]
-            per_vm, report = run_consolidated(
-                workloads, host_config=host_config,
-                machine_config=machine_config)
-            overheads = [m.page_walk_overhead + m.vmm_overhead
-                         for m in per_vm]
-            results[(mode, ratio)] = {
-                "mode": mode,
-                "ratio": ratio,
-                "per_vm_overhead": sum(overheads) / len(overheads),
-                "per_vm_overheads": overheads,
-                "page_walk_overhead": (
-                    sum(m.page_walk_overhead for m in per_vm) / len(per_vm)),
-                "vmm_overhead": (
-                    sum(m.vmm_overhead for m in per_vm) / len(per_vm)),
-                "world_switches": report["world_switches"],
-                "balloon_frames": report["balloon_frames"],
-            }
-    return results
-
-
-def consolidation_claims(curve, ratio=None):
-    """The acceptance relation over a :func:`consolidation_curve` result.
-
-    At the highest consolidated ratio (or the given one), agile's mean
-    per-VM overhead must not exceed the best constituent's — nested's or
-    shadow's, whichever is lower — mirroring the solo headline claim
-    under multiplexing.
-    """
-    if ratio is None:
-        ratio = max(r for _mode, r in curve)
-    agile = curve[(MODE_AGILE, ratio)]["per_vm_overhead"]
-    best = min(curve[(MODE_NESTED, ratio)]["per_vm_overhead"],
-               curve[(MODE_SHADOW, ratio)]["per_vm_overhead"])
+    host_config = HostConfig(vms=vms, host_frames=HOST_FRAMES,
+                             vm_frames=VM_FRAMES)
+    per_vm, report = run_consolidated(
+        _tenants(vms, ops, seed), host_config=host_config,
+        machine_config=sandy_bridge_config(mode=mode))
+    overheads = [translation_overhead(m) for m in per_vm]
     return {
-        "ratio": ratio,
+        "mode": mode,
+        "vms": vms,
+        "ops": sum(m.ops for m in per_vm),
+        "per_vm_overhead": round(sum(overheads) / len(overheads), 4),
+        "per_vm_overheads": [round(o, 4) for o in overheads],
+        "world_switches": report["world_switches"],
+        "balloon_episodes": report["balloon_episodes"],
+        "balloon_frames": report["balloon_frames"],
+        "overcommit_ratio": report["overcommit_ratio"],
+    }
+
+
+def consolidation(ops=8_000, seed=21, run_cell=consolidation_cell):
+    """The packing grid over 1, 2 and 4 VMs: ``{mode: [cell per VM count]}``.
+
+    ``run_cell(mode, vms, ops, seed)`` builds each cell; a caller that
+    also wants host wall time wraps :func:`consolidation_cell`.
+    """
+    return {mode: [run_cell(mode, vms, ops, seed) for vms in (1, 2, 4)]
+            for mode in CONSOLIDATION_MODES}
+
+
+def consolidation_summary(grid):
+    """Agile vs the best constituent at the top VM count (each mode's
+    last cell)."""
+    agile, nested, shadow = (grid[mode][-1]["per_vm_overhead"]
+                             for mode in (MODE_AGILE, MODE_NESTED, MODE_SHADOW))
+    best = min(nested, shadow)
+    return {
+        "top_ratio": grid[MODE_AGILE][-1]["vms"],
         "agile_per_vm_overhead": agile,
         "best_constituent_overhead": best,
-        "agile_le_best": agile <= best,
-        "agile_vs_best_ratio": (agile / best) if best else 0.0,
+        "agile_vs_best_overhead_ratio": round(agile / best, 4),
+        "reclaim_frames_at_top": sum(cells[-1]["balloon_frames"]
+                                     for cells in grid.values()),
     }

@@ -1,33 +1,9 @@
-"""Analysis-side access to the Table IV performance model.
+"""Projected (two-step) vs direct agile numbers, side by side.
 
-The model itself lives in :mod:`repro.core.costmodel`; this module adds
-the comparison helpers the analysis layer uses to put *direct* agile
-simulation and the *projected* (two-step) agile numbers side by side,
-which is how EXPERIMENTS.md validates the methodology port.
+The Table IV model itself lives in :mod:`repro.core.costmodel`; this is
+the comparison the analysis layer uses to validate the methodology port
+(EXPERIMENTS.md, ``experiments.twostep``).
 """
-
-from repro.core.costmodel import (
-    AgileFractions,
-    MeasuredRun,
-    agile_vmm_overhead,
-    agile_walk_overhead,
-    ideal_cycles,
-    measured_run_from_metrics,
-    page_walk_overhead,
-    vmm_overhead,
-)
-
-__all__ = [
-    "AgileFractions",
-    "MeasuredRun",
-    "agile_vmm_overhead",
-    "agile_walk_overhead",
-    "ideal_cycles",
-    "measured_run_from_metrics",
-    "page_walk_overhead",
-    "vmm_overhead",
-    "compare_projection_to_direct",
-]
 
 
 def compare_projection_to_direct(projection, direct_metrics):

@@ -135,8 +135,8 @@ def discover(bench_dir, names=None):
         raise FileNotFoundError("benchmark directory %s does not exist"
                                 % bench_dir)
     targets = {}
-    # Bench files import shared helpers (`from _util import ...`) the
-    # same way the pytest conftest allows; mirror that here.
+    # Bench files import shared helpers (`from _util import ...`) from
+    # their own directory.
     sys.path.insert(0, bench_dir)
     try:
         for filename in sorted(os.listdir(bench_dir)):

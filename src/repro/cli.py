@@ -147,7 +147,7 @@ def cmd_compare(args, out, _err):
 
 
 def cmd_figure5(args, out, _err):
-    from repro.analysis.experiments import figure5, headline_claims
+    from repro.analysis.experiments import figure5, headline_summary
     from repro.analysis.plots import render_figure5
     from repro.analysis.tables import figure5_rows, format_table
 
@@ -158,7 +158,7 @@ def cmd_figure5(args, out, _err):
     if args.chart:
         print("", file=out)
         print(render_figure5(results, "4K"), file=out)
-    _rows, summary = headline_claims(results)
+    _rows, summary = headline_summary(results)
     print("\ngeomean speedup vs best constituent: %.3f" %
           summary["geomean_speedup_vs_best"], file=out)
     print("geomean slowdown vs native:          %.3f" %

@@ -1,6 +1,10 @@
-"""Tests for the experiment runners (Tables I/II/VI, Figures 3/5)."""
+"""Tests for the experiment runners (Tables I/II/VI, Figures 3/5).
 
-import pytest
+The paper relations these runners reproduce are claims in
+``repro.analysis.claims``; the claim tests here check them through the
+ledger (``test_claims.py`` checks every claim), on the same memoized
+results the render and grid-shape tests read.
+"""
 
 from repro.analysis import experiments
 from repro.analysis.tables import (
@@ -13,25 +17,15 @@ from repro.analysis.tables import (
 
 
 class TestTable1:
-    @pytest.fixture(scope="class")
-    def measurements(self):
-        return experiments.table1_measurements()
+    def test_max_refs_match_paper(self, ledger):
+        ledger.check("table1.max_refs")
 
-    def test_max_refs_match_paper(self, measurements):
-        assert measurements["native"]["max_refs"] == 4
-        assert measurements["nested"]["max_refs"] == 24
-        assert measurements["shadow"]["max_refs"] == 4
-        assert measurements["agile"]["max_refs"] == 24  # worst case
+    def test_update_path(self, ledger):
+        ledger.check("table1.shadow_updates_trap")
+        ledger.check("table1.direct_updates")
 
-    def test_update_path(self, measurements):
-        assert measurements["native"]["pt_update_traps"] == 0
-        assert measurements["nested"]["pt_update_traps"] == 0
-        assert measurements["shadow"]["pt_update_traps"] >= 1
-        # Agile steady state: the dynamic parts update directly.
-        assert measurements["agile"]["pt_update_traps"] == 0
-
-    def test_rows_render(self, measurements):
-        rows = table1_rows(measurements)
+    def test_rows_render(self, ledger):
+        rows = table1_rows(ledger.results("table1", 0))
         assert len(rows) == 4
         text = format_table(
             ("Technique", "TLB hit", "Max refs", "PT updates", "HW support"),
@@ -41,101 +35,60 @@ class TestTable1:
 
 
 class TestTable2:
-    @pytest.fixture(scope="class")
-    def totals(self):
-        return experiments.table2_measurements()
-
-    def test_degree_arithmetic(self, totals):
+    def test_degree_arithmetic(self, ledger):
         """The paper's Table II: 4, 8, 12, 16, 20, 24 references."""
-        assert totals[0] == 4
-        assert totals[1] == 8
-        assert totals[2] == 12
-        assert totals[3] == 16
-        assert totals[4] == 20
-        assert totals["nested"] == 24
+        ledger.check("table2.walk_refs")
 
-    def test_rows_render(self, totals):
-        rows = table2_rows(totals)
+    def test_rows_render(self, ledger):
+        rows = table2_rows(ledger.results("table2", 0))
         assert rows[-1][0] == "All"
         assert rows[-1][2] == 24
         assert rows[-1][4] == "4-24"
 
 
 class TestFigure3:
-    def test_journal_shapes(self):
-        journals = experiments.figure3_journals()
-        lengths = {label: len(j) for label, j in journals.items()}
-        assert lengths == {
-            "shadow-only": 4,
-            "switch@4th": 8,
-            "switch@3rd": 12,
-            "switch@2nd": 16,
-            "switch@1st": 20,
-            "nested-only": 24,
-        }
+    def test_journal_shapes(self, ledger):
+        ledger.check("fig3.journal_lengths")
 
-    def test_shadow_prefix_order(self):
-        journals = experiments.figure3_journals()
-        assert journals["switch@3rd"][:2] == [("sPT", 4), ("sPT", 3)]
-        assert journals["switch@3rd"][2][0] == "gPT"
+    def test_shadow_prefix_order(self, ledger):
+        ledger.check("fig3.shadow_prefix")
 
 
 class TestFigure5AndHeadline:
-    @pytest.fixture(scope="class")
-    def results(self):
+    def test_grid_complete(self, ledger):
         # Two contrasting workloads keep the test fast.
-        return experiments.figure5(ops=12_000,
-                                   workload_names={"mcf", "dedup"})
-
-    def test_grid_complete(self, results):
+        results = ledger.results("figure5", 12_000)
         assert set(results) == {"mcf", "dedup"}
         for configs in results.values():
             assert len(configs) == 8  # 2 page sizes x 4 modes
 
-    def test_ordering_claims(self, results):
+    def test_ordering_claims(self, ledger):
         """Agile beats or ties the best constituent (4K pages)."""
-        for name, configs in results.items():
-            def total(mode):
-                m = configs[("4K", mode)]
-                return m.page_walk_overhead + m.vmm_overhead
+        ledger.check("fig5.agile_le_best")
 
-            best = min(total("nested"), total("shadow"))
-            assert total("agile") <= best * 1.05, name
+    def test_2m_reduces_overheads(self, ledger):
+        ledger.check("fig5.large_pages_cut_walks")
 
-    def test_2m_reduces_overheads(self, results):
-        for name, configs in results.items():
-            four_k = configs[("4K", "agile")]
-            two_m = configs[("2M", "agile")]
-            assert (two_m.page_walk_overhead
-                    <= four_k.page_walk_overhead + 0.01), name
-
-    def test_headline_summary(self, results):
-        rows, summary = experiments.headline_claims(results)
+    def test_headline_summary(self, ledger):
+        rows, _summary = experiments.headline_summary(
+            ledger.results("figure5", 12_000))
         assert len(rows) == 2
-        assert summary["geomean_speedup_vs_best"] >= 1.0
-        assert summary["geomean_slowdown_vs_native"] < 1.5
+        ledger.check("fig5.speedup_vs_best")
+        ledger.check("fig5.slowdown_vs_native")
 
-    def test_figure5_rows_render(self, results):
-        rows = figure5_rows(results)
-        assert len(rows) == 16
+    def test_figure5_rows_render(self, ledger):
+        assert len(figure5_rows(ledger.results("figure5", 12_000))) == 16
 
 
 class TestTable6:
-    @pytest.fixture(scope="class")
-    def results(self):
-        return experiments.table6(ops=12_000, workload_names={"canneal", "dedup"})
-
-    def test_shadow_mode_dominates(self, results):
+    def test_shadow_mode_dominates(self, ledger):
         """Most TLB misses are served in full shadow mode (Section VII-B)."""
-        for name, metrics in results.items():
-            mix = metrics.mode_mix()
-            assert mix.get("Shadow", 0.0) > 0.5, (name, mix)
+        ledger.check("table6.shadow_dominates")
 
-    def test_avg_refs_under_nested_worst_case(self, results):
-        for name, metrics in results.items():
-            assert 4.0 <= metrics.avg_refs_per_miss < 24.0, name
+    def test_avg_refs_under_nested_worst_case(self, ledger):
+        ledger.check("table6.avg_refs")
 
-    def test_rows_render(self, results):
-        rows = table6_rows(results)
+    def test_rows_render(self, ledger):
+        rows = table6_rows(ledger.results("table6", 12_000))
         assert len(rows) == 2
         assert all(len(row) == 8 for row in rows)

@@ -73,7 +73,7 @@ def test_figure5_golden():
                for key, metrics in configs.items()}
         for name, configs in results.items()
     }
-    _rows, headline = experiments.headline_claims(results)
+    _rows, headline = experiments.headline_summary(results)
     data["_headline"] = {key: round(value, 6)
                          for key, value in headline.items()}
     check_golden("figure5", data)

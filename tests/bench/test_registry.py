@@ -80,8 +80,8 @@ class TestDiscover:
             discover(str(tmp_path / "nowhere"))
 
     def test_bench_files_can_import_util_helpers(self, tmp_path):
-        # Mirrors benchmarks/conftest.py: shared helpers live next to
-        # the bench files and import as plain `_util`.
+        # Shared helpers live next to the bench files and import as
+        # plain `_util`.
         _write(tmp_path, "_util.py", "ANSWER = 41\n")
         _write(tmp_path, "bench_alpha.py",
                "from _util import ANSWER\n"
