@@ -6,7 +6,7 @@ guest-physical frame against a host-physical one, indexing host RAM
 with a gfn, shifting an already-shifted value. These annotations give
 every address-carrying parameter and return value a declared *domain*
 so ``repro.lint.domains`` can typecheck the pipeline statically (rules
-REPRO601–REPRO605; see ``docs/static_analysis.md``).
+REPRO602, REPRO604 and REPRO605; see ``docs/static_analysis.md``).
 
 Like ``repro.common.effects``, the decorators are runtime no-ops: they
 tag the function object and return it unchanged (no wrapper, no call
@@ -40,9 +40,8 @@ Vocabulary:
 
 ``@takes(va="gva", frame="hfn")``
     Declares the domain of named parameters. Call sites passing a value
-    the analyzer has inferred into a *different* space are REPRO602
-    (REPRO603 at a physical-memory accessor); a same-space frame/byte
-    mix-up is REPRO604.
+    the analyzer has inferred into a *different* space are REPRO602;
+    a same-space frame/byte mix-up is REPRO604.
 ``@returns("hfn")`` / ``@returns("hfn", None, None)``
     Declares the domain of the return value; the tuple form types each
     element of a returned tuple (``None`` = undeclared).

@@ -1,11 +1,10 @@
 """Effect annotations: the vocabulary of the whole-program analyzer.
 
 The simulator's trickiest contracts span call chains — *only* VMM trap
-handlers may reach the shadow page table, *every* switching-bit flip
-must trace back to a Section III-C policy decision. These decorators
-declare which functions touch what, so ``repro.lint.flow`` can verify
-the call graph statically (rules REPRO401/REPRO402; see
-``docs/static_analysis.md``).
+handlers and Section III-C policy decisions may reach the shadow page
+table and its switching bits. These decorators declare which functions
+touch what, so ``repro.lint.flow`` can verify the call graph statically
+(rules REPRO401/REPRO406; see ``docs/static_analysis.md``).
 
 The decorators are runtime no-ops: they tag the function object and
 return it unchanged (no wrapper, no call overhead), so annotating a
@@ -17,21 +16,21 @@ Vocabulary:
 
 ``@mutates(resource)``
     This function writes the named piece of privileged VMM state.
-    Resources: ``"shadow_pt"`` (the shadow table and its node-mode
-    metadata), ``"switching_bits"`` (the agile boundary entries), and
-    ``"host_ledger"`` (the consolidated host's commit ledger — only the
-    ``repro.host`` subsystem may meter it; rule REPRO406).
+    Resources: ``"shadow_pt"`` (the shadow table, its node-mode
+    metadata and the agile switching bits) and ``"host_ledger"`` (the
+    consolidated host's commit ledger — only the ``repro.host``
+    subsystem may meter it; rule REPRO406).
 ``@trap_handler``
     A VMM entry point that runs in response to a VMexit / guest-platform
     hook — authorized to reach shadow-state mutators.
 ``@policy_decision``
     A Section III-C policy hook (write trigger, reversion scan,
-    short-lived promotion, SHSP selection) — the only origin from which
-    switching-bit mutations may flow.
+    short-lived promotion, SHSP selection) — authorized, like trap
+    handlers, to reach shadow-state mutators.
 """
 
 #: The privileged state resources ``@mutates`` may name.
-RESOURCES = ("shadow_pt", "switching_bits", "host_ledger")
+RESOURCES = ("shadow_pt", "host_ledger")
 
 
 def mutates(resource):

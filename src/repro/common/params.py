@@ -14,7 +14,7 @@ Levels are numbered as in the paper's Table II: level 4 is the root
 The address-carrying helpers are annotated with the space-generic
 :mod:`repro.common.addrspace` domains (``addr``/``frame``/``offset``)
 because they serve gVA, gPA and hPA alike; the domain analyzer
-(REPRO601–605) specializes them at each call site.
+(REPRO602/604/605) specializes them at each call site.
 """
 
 from repro.common.addrspace import returns, takes

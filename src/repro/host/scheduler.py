@@ -4,7 +4,7 @@ Round-robin with weighted quanta: VMs run in ``vm_id`` order, each for
 ``quantum_cycles * weight`` simulated cycles before preemption, until
 every program finishes. All decisions derive from the shared clock and
 the fixed VM order — no wall time, no unseeded randomness — so a
-consolidated run replays bit-identically (REPRO403 keeps it honest).
+consolidated run replays bit-identically (REPRO101 keeps it honest).
 
 Cross-VM world switches are the *host's* cost, distinct from the guest
 context-switch VMtraps inside a VM: the outgoing VMCS is saved, the

@@ -3,28 +3,25 @@
 A small AST-walking lint engine plus rules that encode correctness
 contracts the test suite cannot easily express file-by-file:
 
-* determinism — no unseeded randomness or wall-clock reads in simulator
-  code (the cross-mode comparisons and the two-step methodology rely on
-  identical operation streams),
-* accounting completeness — every VMtrap kind is charged against the
-  cost model and aggregated by the metrics layer,
-* policy/hook contracts — policy classes implement the hooks the VMM
-  drives,
+* determinism — no wall-clock reads, OS entropy, or unseeded randomness
+  in simulator code (the cross-mode comparisons, the two-step
+  methodology and the fuzz corpus rely on identical operation streams),
+* bench registration — every ``benchmarks/bench_*.py`` registers a
+  target with the bench harness,
 * general hygiene — no mutable default arguments, no bare ``except:``.
 
 On top of the per-file rules sits ``repro.lint.flow`` — a whole-program
 pass (``repro lint --deep`` / ``repro check``) that builds a call graph
-and enforces the interprocedural contracts: the effect system over
-shadow-PT and switching-bit mutations (REPRO401/402), determinism
-*taint* through helper layers (REPRO403), event-taxonomy and dispatch
-exhaustiveness (REPRO404/405), the architecture layer map (REPRO501),
-and dead/phantom config keys (REPRO502) — plus ``repro.lint.domains``,
-the address-domain typestate analysis proving gVA/gPA/hPA values never
-mix (REPRO601–605, over the ``repro.common.addrspace`` annotations),
-and ``repro.lint.time``, the time-domain analysis proving host wall
-time and guest virtual time never mix and that every charged cycle
-lands in a declared metrics counter (REPRO701–704, over the
-``repro.common.timedomain`` annotations).
+and enforces the interprocedural contracts (REPRO4xx/5xx: shadow-state
+and commit-ledger authority, the event taxonomy, the architecture layer
+map, dead and phantom config keys) — plus ``repro.lint.domains``, the
+address-domain typestate analysis proving gVA/gPA/hPA values never mix
+(REPRO6xx, over the ``repro.common.addrspace`` annotations), and
+``repro.lint.time``, the time-domain analysis proving host wall time
+and guest virtual time never mix and that every charged cycle lands in
+a declared metrics counter (REPRO7xx, over the
+``repro.common.timedomain`` annotations). A rule stays only if the
+mutant census (``tests/lint/census.py``) shows some mutant needs it.
 
 Run it as ``python -m repro lint [paths]`` (or via the ``repro`` console
 script); the pytest suite runs it over ``src/`` so tier-1 enforces a

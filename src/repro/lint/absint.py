@@ -1,7 +1,7 @@
 """One forward abstract interpreter for the lattice analyses.
 
-The address-domain pass (:mod:`repro.lint.domains`, REPRO601–605) and
-the time-domain pass (:mod:`repro.lint.time`, REPRO701–704) are one
+The address-domain pass (:mod:`repro.lint.domains`, REPRO6xx) and
+the time-domain pass (:mod:`repro.lint.time`, REPRO7xx) are one
 analysis over two lattices, the way the paper's agile walk is one
 walker with the paging mode chosen per level. This module holds what
 they share:

@@ -1,4 +1,4 @@
-"""Address-domain typestate analysis (rules REPRO601–REPRO605).
+"""Address-domain typestate analysis (rules REPRO602, REPRO604, REPRO605).
 
 An interprocedural abstract interpretation over the PR 5 call graph
 that proves guest-virtual, guest-physical, and host-physical addresses
@@ -11,18 +11,14 @@ call edges. See ``docs/static_analysis.md``.
 
 from repro.lint.domains.rules import (
     DOMAIN_RULES,
-    CrossDomainArithmeticRule,
     FrameByteConfusionRule,
     TranslatorClosureRule,
-    UntranslatedGuestAddressRule,
     WrongDomainArgumentRule,
 )
 
 __all__ = [
     "DOMAIN_RULES",
-    "CrossDomainArithmeticRule",
     "WrongDomainArgumentRule",
-    "UntranslatedGuestAddressRule",
     "FrameByteConfusionRule",
     "TranslatorClosureRule",
 ]

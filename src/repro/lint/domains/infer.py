@@ -12,7 +12,7 @@ kept per function) and produces a :class:`~repro.lint.absint.Report`:
 * call-site transfer across *unambiguous* edges: declared ``@returns``
   first, else the callee's inferred return summary (computed to a
   fixpoint, so an undeclared helper still propagates its domain),
-* the findings for REPRO601–REPRO604, each carrying the inferred
+* the findings for REPRO602/REPRO604, each carrying the inferred
   provenance chain, and the REPRO605 translator-closure checks.
 
 Branches join conservatively (disagreeing values drop to unknown), so
@@ -44,30 +44,17 @@ from repro.lint.domains.model import (
     units_conflict,
 )
 from repro.lint.flow.analysis import _resolve_call, build_program
-from repro.lint.rules import tail_name
 
 #: Rule ids, one per kind of finding.
-CROSS_DOMAIN = "REPRO601"
 WRONG_ARGUMENT = "REPRO602"
-UNTRANSLATED = "REPRO603"
 FRAME_BYTE = "REPRO604"
 CLOSURE = "REPRO605"
 
-#: PhysicalMemory accessors whose first argument indexes RAM by frame.
-PHYSMEM_ACCESSORS = ("read", "read_required", "install", "free_frame")
-
-#: Receiver spellings with a fixed backing space: ``self.guest_mem``
-#: holds guest-physical frames, ``self.host_mem`` host-physical ones.
-PHYSMEM_SPACES = {
-    "guest_mem": ("guest-physical", "gfn"),
-    "host_mem": ("host-physical", "hfn"),
-}
-
-#: Arithmetic operators checked for cross-space mixing (REPRO601).
+#: Arithmetic operators whose operands must agree on their unit.
 _ADDITIVE_OPS = (ast.Add, ast.Sub, ast.BitOr, ast.BitXor,
                  ast.Mult, ast.Div, ast.FloorDiv, ast.Mod)
 
-#: Comparison operators checked for cross-space mixing.
+#: Comparison operators whose operands must agree on their unit.
 _ORDERED_CMPS = (ast.Eq, ast.NotEq, ast.Lt, ast.LtE, ast.Gt, ast.GtE)
 
 #: Call-graph roots the translator-closure reachability starts from:
@@ -152,12 +139,7 @@ class _Interpreter(Interpreter):
             if not isinstance(op, _ORDERED_CMPS):
                 continue
             left, right = values[index], values[index + 1]
-            if spaces_conflict(left, right):
-                self.report(CROSS_DOMAIN, node,
-                            "cross-domain comparison: %s (%s) vs %s (%s)"
-                            % (left.domain, left.origin,
-                               right.domain, right.origin))
-            elif units_conflict(left, right):
+            if units_conflict(left, right):
                 self.report(FRAME_BYTE, node,
                             "frame/byte comparison: %s (%s) vs %s (%s)"
                             % (left.domain, left.origin,
@@ -213,11 +195,6 @@ class _Interpreter(Interpreter):
                 return left
             return None
         if spaces_conflict(left, right):
-            self.report(CROSS_DOMAIN, node,
-                        "cross-domain arithmetic: %s (%s) %s %s (%s)"
-                        % (left.domain, left.origin,
-                           type(op).__name__.lower(),
-                           right.domain, right.origin))
             return None
         if left.unit == "offset":
             return right if right.unit != "offset" else left
@@ -240,8 +217,6 @@ class _Interpreter(Interpreter):
         argument_values, keyword_values = self._eval_arguments(node, env)
         if isinstance(node.func, ast.Attribute):
             self.eval(node.func.value, env)
-        physmem_checked = self._check_physmem(node, argument_values,
-                                              keyword_values)
         resolved = _resolve_call(node, self.info, self.aliases, self.program)
         if resolved is None:
             return None
@@ -255,7 +230,7 @@ class _Interpreter(Interpreter):
         signature = self.signatures.get(target)
         if signature is not None:
             self._check_arguments(node, callee, signature, argument_values,
-                                  keyword_values, physmem_checked)
+                                  keyword_values)
         return self._call_result(target, signature)
 
     def _call_result(self, target, signature):
@@ -278,7 +253,7 @@ class _Interpreter(Interpreter):
         return values
 
     def _check_arguments(self, node, callee, signature, argument_values,
-                         keyword_values, physmem_checked):
+                         keyword_values):
         domains = signature.param_domains(callee.node)
         if not domains:
             return
@@ -286,8 +261,6 @@ class _Interpreter(Interpreter):
                 node, callee, argument_values, keyword_values):
             declared_name = domains.get(parameter)
             if declared_name is None or value is None:
-                continue
-            if physmem_checked and value_node in physmem_checked:
                 continue
             value = self.scalar(value)
             if value is None:
@@ -304,44 +277,6 @@ class _Interpreter(Interpreter):
                             "(frame/byte confusion) — %s"
                             % (parameter, callee.qualname, declared_name,
                                value.domain, value.origin))
-
-    def _check_physmem(self, node, argument_values, keyword_values):
-        """guest_mem/host_mem accessor check (REPRO603/REPRO604)."""
-        func = node.func
-        if (not isinstance(func, ast.Attribute)
-                or func.attr not in PHYSMEM_ACCESSORS):
-            return ()
-        receiver = tail_name(func.value)
-        backing = PHYSMEM_SPACES.get(receiver)
-        if backing is None:
-            return ()
-        space, frame_name = backing
-        if node.args:
-            value_node, value = node.args[0], argument_values[0]
-        elif "frame" in keyword_values:
-            value_node = next(kw.value for kw in node.keywords
-                              if kw.arg == "frame")
-            value = keyword_values["frame"]
-        else:
-            return ()
-        value = self.scalar(value)
-        if value is None:
-            return ()
-        if value.space is not None and value.space != space:
-            self.report(UNTRANSLATED, value_node,
-                        "`%s.%s` indexes %s RAM (%s frames) but got %s "
-                        "without passing through a declared translator — %s"
-                        % (receiver, func.attr, space, frame_name,
-                           value.domain, value.origin))
-            return (value_node,)
-        if value.unit == "addr":
-            self.report(FRAME_BYTE, value_node,
-                        "`%s.%s` indexes RAM by frame number, got the "
-                        "byte address %s — shift it right by PAGE_SHIFT "
-                        "first (%s)"
-                        % (receiver, func.attr, value.domain, value.origin))
-            return (value_node,)
-        return (value_node,)
 
 
 # -- the whole-tree analysis --------------------------------------------------

@@ -71,7 +71,7 @@ def from_name(name, origin):
 
 
 def spaces_conflict(a, b):
-    """Two *concrete* spaces that differ — the REPRO601/602/603 core."""
+    """Two *concrete* spaces that differ — the REPRO602 core."""
     return (a is not None and b is not None
             and a.space is not None and b.space is not None
             and a.space != b.space)

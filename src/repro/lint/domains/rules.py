@@ -1,6 +1,6 @@
-"""The REPRO601–REPRO605 address-domain rules.
+"""The REPRO602/604/605 address-domain rules.
 
-All five query the one memoized :func:`analyze_domains` report (the
+All three query the one memoized :func:`analyze_domains` report (the
 same share-one-analysis idiom as the flow rules and
 :func:`build_program`), so running the full set costs one abstract
 interpretation of the tree.
@@ -8,16 +8,6 @@ interpretation of the tree.
 
 from repro.lint.absint import AnalysisRule
 from repro.lint.domains.infer import analyze_domains
-
-
-class CrossDomainArithmeticRule(AnalysisRule):
-    """gVA/gPA/hPA values never meet in arithmetic or comparisons."""
-
-    rule_id = "REPRO601"
-    name = "cross-domain-arith"
-    description = ("arithmetic/comparison mixes two address spaces "
-                   "(e.g. gpa == hpa)")
-    analysis = staticmethod(analyze_domains)
 
 
 class WrongDomainArgumentRule(AnalysisRule):
@@ -30,23 +20,13 @@ class WrongDomainArgumentRule(AnalysisRule):
     analysis = staticmethod(analyze_domains)
 
 
-class UntranslatedGuestAddressRule(AnalysisRule):
-    """Guest addresses reach RAM only through a declared translator."""
-
-    rule_id = "REPRO603"
-    name = "untranslated-guest-addr"
-    description = ("an untranslated guest address reaches a physical-"
-                   "memory accessor (guest_mem/host_mem are typed)")
-    analysis = staticmethod(analyze_domains)
-
-
 class FrameByteConfusionRule(AnalysisRule):
     """Frame numbers and byte addresses never substitute for each other."""
 
     rule_id = "REPRO604"
     name = "frame-byte-confusion"
-    description = ("frame-number vs byte-address mix-up: double page-"
-                   "shift, or indexing RAM with a byte address")
+    description = ("frame-number vs byte-address mix-up: a double page-"
+                   "shift, or a frame where an address is declared")
     analysis = staticmethod(analyze_domains)
 
 
@@ -63,9 +43,7 @@ class TranslatorClosureRule(AnalysisRule):
 
 #: The address-domain rule set, appended to ``repro check`` / ``--deep``.
 DOMAIN_RULES = (
-    CrossDomainArithmeticRule(),
     WrongDomainArgumentRule(),
-    UntranslatedGuestAddressRule(),
     FrameByteConfusionRule(),
     TranslatorClosureRule(),
 )

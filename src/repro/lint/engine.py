@@ -2,7 +2,7 @@
 
 Two rule shapes exist. A plain :class:`Rule` inspects one parsed file at
 a time; a :class:`ProjectRule` runs once over the *whole* file set, which
-is what cross-module contracts (trap kinds vs. cost model vs. metrics)
+is what cross-module contracts (config fields vs. their readers)
 and the ``repro.lint.flow`` whole-program rules need. Both yield
 :class:`Finding` objects the runner renders as text or JSON.
 

@@ -1,9 +1,9 @@
-"""Whole-program static analysis: call graph, effects, taint, layering.
+"""Whole-program static analysis: call graph, effects, layering.
 
 The ``repro lint --deep`` layer. :func:`~repro.lint.flow.analysis.build_program`
 turns a parsed file set into a call-graph :class:`~repro.lint.flow.analysis.Program`;
-the :data:`FLOW_RULES` (REPRO401–REPRO406, REPRO501–REPRO502) run the
-interprocedural contracts over it. See ``docs/static_analysis.md``.
+the :data:`FLOW_RULES` (REPRO4xx, REPRO5xx) run the interprocedural
+contracts over it. See ``docs/static_analysis.md``.
 """
 
 from repro.lint.flow.analysis import Program, build_program

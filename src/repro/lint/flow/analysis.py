@@ -20,9 +20,9 @@ Anything else with an attribute receiver (``state.manager.fill_for``)
 falls back to *name matching* against every method of that name in the
 program: one candidate makes an unambiguous edge, several make an
 ambiguous one. Rules choose their tolerance — the effect checks
-(REPRO401/402) consider every candidate, the determinism taint
-(REPRO403) follows only unambiguous edges so a common method name
-cannot manufacture a false leak.
+(REPRO401/406) consider every candidate, the typestate passes follow
+only unambiguous edges so a common method name cannot manufacture a
+false finding.
 
 The build is memoized on the file set's content hashes: the flow rules
 all call :func:`build_program` from one engine run and share a single
@@ -32,12 +32,7 @@ analysis.
 import ast
 
 from repro.lint.absint import memoized
-from repro.lint.rules import (
-    _dotted_name,
-    _import_aliases,
-    classify_nondet_call,
-    tail_name,
-)
+from repro.lint.rules import _dotted_name, _import_aliases, tail_name
 
 #: Decorator tails (from ``repro.common.effects``) the analyzer recognizes.
 EFFECT_MARKERS = ("trap_handler", "policy_decision")
@@ -47,7 +42,7 @@ class FunctionInfo:
     """One module-level function or method: summary + call sites."""
 
     __slots__ = ("qualname", "module", "cls", "name", "path", "lineno",
-                 "effects", "calls", "nondet_sources", "node")
+                 "effects", "calls", "node")
 
     def __init__(self, qualname, module, cls, name, path, lineno, effects):
         self.qualname = qualname
@@ -58,8 +53,6 @@ class FunctionInfo:
         self.lineno = lineno
         self.effects = frozenset(effects)
         self.calls = []
-        #: Direct nondeterminism reads inside this body: [(lineno, message)].
-        self.nondet_sources = []
         #: The function's AST node, so downstream passes (the shared
         #: interpreter in ``repro.lint.absint``) can walk the body
         #: without re-parsing anything.
@@ -71,24 +64,16 @@ class CallSite:
 
     ``candidates`` are the project functions the callee may be;
     ``ambiguous`` is True when they came from name matching with more
-    than one hit. ``callee`` is the source spelling, for messages.
+    than one hit.
     """
 
-    __slots__ = ("lineno", "col", "callee", "candidates", "ambiguous")
+    __slots__ = ("lineno", "col", "candidates", "ambiguous")
 
-    def __init__(self, lineno, col, callee, candidates, ambiguous):
+    def __init__(self, lineno, col, candidates, ambiguous):
         self.lineno = lineno
         self.col = col
-        self.callee = callee
         self.candidates = candidates
         self.ambiguous = ambiguous
-
-    @property
-    def target(self):
-        """The single callee qualname, or None when ambiguous/unresolved."""
-        if len(self.candidates) == 1 and not self.ambiguous:
-            return self.candidates[0]
-        return None
 
 
 class Program:
@@ -105,17 +90,6 @@ class Program:
         self.methods_by_name = {}    # method name -> (qualname, ...)
         self.files_by_module = {}    # module name -> SourceFile
         self.aliases_by_module = {}  # module name -> import alias map
-
-    def callers_of(self, ambiguous_ok):
-        """Reverse edge map {callee qualname: set(caller qualnames)}."""
-        reverse = {}
-        for info in self.functions.values():
-            for call in info.calls:
-                if call.ambiguous and not ambiguous_ok:
-                    continue
-                for target in call.candidates:
-                    reverse.setdefault(target, set()).add(info.qualname)
-        return reverse
 
     def reachable_from(self, roots):
         """Qualnames reachable from ``roots`` over all candidate edges."""
@@ -258,7 +232,7 @@ def _resolve_call(call, info, aliases, program):
 
 
 def _analyze_bodies(source_file, raw_functions, program):
-    """Pass 2: call sites and direct nondeterminism sources per function."""
+    """Pass 2: the resolved call sites of every function."""
     aliases = _import_aliases(source_file.tree, source_file.package)
     program.aliases_by_module[source_file.module_name] = aliases
     for raw in raw_functions:
@@ -266,17 +240,12 @@ def _analyze_bodies(source_file, raw_functions, program):
         for node in ast.walk(raw.node):
             if not isinstance(node, ast.Call):
                 continue
-            message = classify_nondet_call(node, aliases)
-            if message is not None:
-                info.nondet_sources.append((node.lineno, message))
             resolved = _resolve_call(node, info, aliases, program)
             if resolved is None:
                 continue
             candidates, ambiguous = resolved
-            info.calls.append(CallSite(
-                node.lineno, node.col_offset,
-                _dotted_name(node.func) or getattr(node.func, "attr", "?"),
-                tuple(candidates), ambiguous))
+            info.calls.append(CallSite(node.lineno, node.col_offset,
+                                       tuple(candidates), ambiguous))
 
 
 @memoized

@@ -1,15 +1,14 @@
 """The project-specific lint rules.
 
 Numbering: REPRO001 is reserved for parse errors (see engine.py);
-REPRO1xx are per-file hygiene/determinism rules; REPRO2xx are
-cross-module accounting contracts; REPRO3xx are output-stream
-discipline rules.
+REPRO1xx are per-file hygiene/determinism rules; REPRO302 keeps every
+benchmark registered with the bench harness.
 """
 
 import ast
 import re
 
-from repro.lint.engine import ProjectRule, Rule
+from repro.lint.engine import Rule
 
 # Wall-clock reads that would leak host time into simulated results. The
 # simulator has its own Clock; cycle counts must never depend on them.
@@ -23,6 +22,14 @@ WALL_CLOCK_CALLS = {
     "datetime.datetime.now",
     "datetime.datetime.utcnow",
     "datetime.date.today",
+}
+
+# OS entropy: never regenerable from a seed, even when used *to* seed.
+OS_ENTROPY_CALLS = {
+    "os.urandom",
+    "random.SystemRandom",
+    "uuid.uuid1",
+    "uuid.uuid4",
 }
 
 # numpy.random callables that are legitimately *seedable*: calling them
@@ -111,10 +118,9 @@ def _resolve(node, aliases):
 def classify_nondet_call(node, aliases):
     """Message if ``node`` (a Call) reads a nondeterminism source, else None.
 
-    Shared between the per-file REPRO101 rule and the interprocedural
-    REPRO403 taint pass so both agree on what counts as a source:
-    wall-clock reads, the global ``random``/``numpy.random`` state, and
-    unseeded seedable constructors.
+    The one source list: wall-clock reads, OS entropy, the global
+    ``random``/``numpy.random`` state, and unseeded seedable
+    constructors.
     """
     full = _resolve(node.func, aliases)
     if full is None:
@@ -123,6 +129,9 @@ def classify_nondet_call(node, aliases):
     if full in WALL_CLOCK_CALLS:
         return ("wall-clock read `%s()` in simulator code; "
                 "use the simulated Clock" % full)
+    if full in OS_ENTROPY_CALLS or full.startswith("secrets."):
+        return ("`%s()` draws OS entropy; derive all randomness from an "
+                "explicit seed" % full)
     if full == "random.Random":
         if not has_args:
             return ("`random.Random()` without a seed; pass "
@@ -146,19 +155,22 @@ def classify_nondet_call(node, aliases):
 
 
 class UnseededRandomRule(Rule):
-    """Determinism: no global/unseeded RNG state, no wall-clock reads.
+    """Determinism: no wall-clock reads, OS entropy, or unseeded RNGs.
 
     All randomness must flow through an explicitly seeded generator
     (``np.random.default_rng(seed)`` / ``random.Random(seed)``) that the
-    caller owns, and all time must come from the simulated Clock.
+    caller owns, and all time must come from the simulated Clock: the
+    cross-mode comparisons, the two-step methodology and the fuzz
+    corpus (a case is named by its ``(seed, profile, ops)``) all rely on
+    regenerating identical operation streams.
     """
 
     rule_id = "REPRO101"
     name = "unseeded-random"
     description = ("simulator code must use explicitly seeded RNGs and the "
-                   "simulated clock, never global random state or wall time "
-                   "(benchmarks/ exempt: timing harnesses read the wall "
-                   "clock by design)")
+                   "simulated clock, never global random state, OS entropy "
+                   "or wall time (benchmarks/ exempt: timing harnesses read "
+                   "the wall clock by design)")
 
     EXEMPT_SCOPE = "benchmarks/"
 
@@ -172,51 +184,6 @@ class UnseededRandomRule(Rule):
             message = classify_nondet_call(node, aliases)
             if message is not None:
                 yield self.finding(source_file, node, message)
-
-
-class FuzzEntropyRule(Rule):
-    """The fuzz subsystem may draw randomness only from its scenario seed.
-
-    A fuzz case is *named* by (seed, profile, ops) and regenerated from
-    that triple in worker processes and replays — so any ambient entropy
-    in ``repro/fuzz/`` (an unseeded ``random.Random()``, ``os.urandom``,
-    ``secrets``, ``uuid4``, ``SystemRandom``) silently breaks reproducer
-    files, corpus naming, and shrink determinism. REPRO101 already bans
-    the global ``random.*`` state everywhere; this rule additionally bans
-    the OS entropy sources 101 tolerates, but only inside the fuzzer,
-    where even *seeding from* fresh entropy is a contract violation.
-    """
-
-    rule_id = "REPRO105"
-    name = "fuzz-entropy"
-    description = ("repro/fuzz/ must derive all randomness from the scenario "
-                   "seed: no unseeded random.Random(), os.urandom, secrets, "
-                   "uuid1/uuid4, or SystemRandom")
-
-    SCOPE = "repro/fuzz/"
-    FORBIDDEN = {"os.urandom", "random.SystemRandom", "uuid.uuid1",
-                 "uuid.uuid4"}
-
-    def check_file(self, source_file):
-        if self.SCOPE not in source_file.posix_path:
-            return
-        aliases = _import_aliases(source_file.tree, source_file.package)
-        for node in ast.walk(source_file.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            full = _resolve(node.func, aliases)
-            if full is None:
-                continue
-            if full == "random.Random" and not (node.args or node.keywords):
-                yield self.finding(source_file, node,
-                                   "unseeded `random.Random()` in the fuzz "
-                                   "subsystem; scenarios must be regenerable "
-                                   "from their (seed, profile, ops) name")
-            elif full in self.FORBIDDEN or full.startswith("secrets."):
-                yield self.finding(source_file, node,
-                                   "`%s()` draws OS entropy; fuzz code must "
-                                   "derive all randomness from the scenario "
-                                   "seed" % full)
 
 
 class MutableDefaultRule(Rule):
@@ -265,213 +232,6 @@ class BareExceptRule(Rule):
                 yield self.finding(source_file, node,
                                    "bare `except:` hides simulator bugs; "
                                    "catch explicit exception types")
-
-
-class PolicyHooksRule(Rule):
-    """Policy classes must implement the hooks the VMM drives.
-
-    The VMM calls reversion policies as ``tick(manager, hostpt, now)``
-    and write-trigger policies as ``note_write(manager, node_gfn, now)``
-    (Section III-C). A policy class missing — or mis-declaring — its hook
-    fails at runtime only on the code path that fires it, which a short
-    test run may never reach.
-    """
-
-    rule_id = "REPRO104"
-    name = "policy-hooks"
-    description = ("*ReversionPolicy classes must define tick(self, manager, "
-                   "hostpt, now); *TriggerPolicy classes must define "
-                   "note_write(self, manager, node_gfn, now)")
-
-    REQUIRED = (
-        ("ReversionPolicy", "tick", ("self", "manager", "hostpt", "now")),
-        ("TriggerPolicy", "note_write", ("self", "manager", "node_gfn", "now")),
-    )
-
-    def check_file(self, source_file):
-        for node in ast.walk(source_file.tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            for suffix, hook, signature in self.REQUIRED:
-                if not node.name.endswith(suffix):
-                    continue
-                method = next(
-                    (item for item in node.body
-                     if isinstance(item, ast.FunctionDef) and item.name == hook),
-                    None,
-                )
-                if method is None:
-                    yield self.finding(source_file, node,
-                                       "policy class `%s` must define the "
-                                       "`%s` hook" % (node.name, hook))
-                    continue
-                args = [arg.arg for arg in method.args.args]
-                if len(args) != len(signature):
-                    yield self.finding(
-                        source_file, method,
-                        "`%s.%s` must accept exactly %d arguments %r, got %r"
-                        % (node.name, hook, len(signature), signature,
-                           tuple(args)))
-
-
-class TrapAccountingRule(ProjectRule):
-    """Cross-module contract: the VMtrap taxonomy is fully accounted.
-
-    Reading ``vmm/traps.py`` and ``common/config.py`` from the linted
-    file set, enforce:
-
-    * every trap-kind constant defined *above* ``ALL_TRAP_KINDS`` is a
-      member of that tuple (membership is what registers the kind with
-      ``RunMetrics.vmtraps`` — a kind defined but left out
-      would silently vanish from the Figure 5 VMM bars),
-    * every member of ``ALL_TRAP_KINDS`` is charged somewhere: it appears
-      as the kind argument of a ``_trap(...)`` or ``.record(...)`` call,
-    * every kind constant in ``traps.py`` (traps *and* hardware-assist
-      kinds) is referenced outside ``traps.py`` — no dead taxonomy,
-    * every ``vmtrap_*`` field of ``CostConfig`` is referenced somewhere
-      — no unpriced or dead cost knobs.
-    """
-
-    rule_id = "REPRO201"
-    name = "trap-accounting"
-    description = ("every VMtrap kind must be in ALL_TRAP_KINDS, charged via "
-                   "_trap/record, and every vmtrap_* cost field must be used")
-
-    TRAPS_PATH = "vmm/traps.py"
-    CONFIG_PATH = "common/config.py"
-
-    def _module_constants(self, tree):
-        """(ordered [(name, lineno)], ALL_TRAP_KINDS members, tuple lineno)."""
-        constants = []
-        members = None
-        tuple_line = None
-        for node in tree.body:
-            if not isinstance(node, ast.Assign) or len(node.targets) != 1:
-                continue
-            target = node.targets[0]
-            if not isinstance(target, ast.Name):
-                continue
-            if (target.id == "ALL_TRAP_KINDS"
-                    and isinstance(node.value, (ast.Tuple, ast.List))):
-                members = [elt.id for elt in node.value.elts
-                           if isinstance(elt, ast.Name)]
-                tuple_line = node.lineno
-            elif (target.id.isupper()
-                  and isinstance(node.value, ast.Constant)
-                  and isinstance(node.value.value, str)):
-                constants.append((target.id, node.lineno))
-        return constants, members, tuple_line
-
-    def _cost_fields(self, tree):
-        """[(field, lineno)] of vmtrap_* fields on CostConfig."""
-        fields = []
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.ClassDef) or node.name != "CostConfig":
-                continue
-            for item in node.body:
-                if (isinstance(item, ast.AnnAssign)
-                        and isinstance(item.target, ast.Name)
-                        and item.target.id.startswith("vmtrap_")):
-                    fields.append((item.target.id, item.lineno))
-        return fields
-
-    def check_project(self, source_files):
-        traps_file = next((f for f in source_files
-                           if f.endswith(self.TRAPS_PATH)), None)
-        if traps_file is None:
-            return
-        constants, members, tuple_line = self._module_constants(traps_file.tree)
-        if members is None:
-            yield self.finding(traps_file, traps_file.tree,
-                               "traps module defines no ALL_TRAP_KINDS tuple")
-            return
-        config_file = next((f for f in source_files
-                            if f.endswith(self.CONFIG_PATH)), None)
-
-        charged = set()
-        referenced = set()
-        attr_refs = set()
-        for source_file in source_files:
-            in_traps = source_file is traps_file
-            for node in ast.walk(source_file.tree):
-                if isinstance(node, ast.Attribute):
-                    attr_refs.add(node.attr)
-                    if not in_traps:
-                        referenced.add(node.attr)
-                elif isinstance(node, ast.Name) and not in_traps:
-                    referenced.add(node.id)
-                if (isinstance(node, ast.Call)
-                        and tail_name(node.func) in ("_trap", "record")
-                        and node.args):
-                    kind = tail_name(node.args[0])
-                    if kind is not None:
-                        charged.add(kind)
-
-        member_set = set(members)
-        for name, lineno in constants:
-            if lineno < (tuple_line or 0) and name not in member_set:
-                yield self.finding(
-                    traps_file, _FakeNode(lineno),
-                    "trap kind `%s` is defined above ALL_TRAP_KINDS but not a "
-                    "member of it; it would be invisible to "
-                    "RunMetrics.vmtraps" % name)
-            if name not in referenced:
-                yield self.finding(
-                    traps_file, _FakeNode(lineno),
-                    "trap kind `%s` is never referenced outside traps.py; "
-                    "dead taxonomy entries hide unaccounted traps" % name)
-        for name in members:
-            if name not in charged:
-                yield self.finding(
-                    traps_file, _FakeNode(tuple_line),
-                    "trap kind `%s` is in ALL_TRAP_KINDS but never charged "
-                    "via _trap(...)/record(...); its VMtraps would cost zero "
-                    "cycles" % name)
-        if config_file is not None:
-            for field, lineno in self._cost_fields(config_file.tree):
-                if field not in attr_refs:
-                    yield self.finding(
-                        config_file, _FakeNode(lineno),
-                        "cost-model field `%s` is never read; every vmtrap "
-                        "cost knob must price some trap kind" % field)
-
-
-class BarePrintRule(Rule):
-    """No bare ``print(...)`` in library code.
-
-    Library modules must never write to an ambient stdout: output goes
-    through an explicit stream (``print(..., file=out)``), which is what
-    lets the CLI keep machine-readable stdout separate from diagnostic
-    stderr. Only the CLI itself and the table renderer are presentation
-    layers; everything else under ``src/repro/`` must thread a stream.
-    """
-
-    rule_id = "REPRO301"
-    name = "bare-print"
-    description = ("library code must not call print() without an explicit "
-                   "file= stream (cli.py, analysis/tables.py and the "
-                   "benchmarks/ presentation harnesses exempt)")
-
-    EXEMPT_SUFFIXES = ("repro/cli.py", "repro/analysis/tables.py")
-    EXEMPT_DIRS = ("benchmarks/",)
-
-    def check_file(self, source_file):
-        if any(source_file.endswith(suffix)
-               for suffix in self.EXEMPT_SUFFIXES):
-            return
-        if any(directory in source_file.posix_path
-               for directory in self.EXEMPT_DIRS):
-            return
-        for node in ast.walk(source_file.tree):
-            if (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Name)
-                    and node.func.id == "print"
-                    and not any(kw.arg == "file" for kw in node.keywords)):
-                yield self.finding(
-                    source_file, node,
-                    "bare `print(...)` writes to ambient stdout; pass an "
-                    "explicit stream (`print(..., file=out)`) or move the "
-                    "output to the CLI layer")
 
 
 class BenchRegistrationRule(Rule):
@@ -541,23 +301,9 @@ class BenchRegistrationRule(Rule):
                     % (output.value,))
 
 
-class _FakeNode:
-    """Location carrier for findings not tied to a single AST node."""
-
-    __slots__ = ("lineno", "col_offset")
-
-    def __init__(self, lineno, col_offset=0):
-        self.lineno = lineno or 1
-        self.col_offset = col_offset
-
-
 DEFAULT_RULES = (
     UnseededRandomRule(),
-    FuzzEntropyRule(),
     MutableDefaultRule(),
     BareExceptRule(),
-    PolicyHooksRule(),
-    TrapAccountingRule(),
-    BarePrintRule(),
     BenchRegistrationRule(),
 )

@@ -79,17 +79,32 @@ def _canonicalize_kwargs(kwargs):
     return tuple(sorted(kwargs.items()))
 
 
+def _type_matches(current, value):
+    """Does an override ``value`` fit a field now holding ``current``?
+
+    An int may stand in for a float; a bool is never an int (or float),
+    and a field now holding None accepts anything.
+    """
+    if current is None:
+        return True
+    if isinstance(current, bool) or isinstance(value, bool):
+        return isinstance(current, bool) and isinstance(value, bool)
+    if isinstance(current, float):
+        return isinstance(value, (int, float))
+    return isinstance(value, type(current))
+
+
 def _apply_dotted(config, dotted, value):
-    """Return ``config`` with one dotted override applied, validating names."""
-    parts = dotted.split(".")
-    leaf = parts[-1]
+    """Return ``config`` with one dotted override applied, validating names,
+    value types, and the rebuilt dataclass's own checks."""
 
     def rebuild(obj, remaining):
+        name = remaining[0]
+        if not any(f.name == name for f in dataclasses.fields(obj)):
+            raise SpecError("unknown config field %r (in override %r)"
+                            % (name, dotted))
+        current = getattr(obj, name)
         if len(remaining) == 1:
-            name = remaining[0]
-            if not any(f.name == name for f in dataclasses.fields(obj)):
-                raise SpecError("unknown config field %r (in override %r)"
-                                % (name, dotted))
             new_value = value
             if name in _PAGE_SIZE_FIELDS and isinstance(value, str):
                 try:
@@ -97,19 +112,22 @@ def _apply_dotted(config, dotted, value):
                 except KeyError:
                     raise SpecError("unknown page size %r (in override %r)"
                                     % (value, dotted)) from None
-            return dataclasses.replace(obj, **{name: new_value})
-        name = remaining[0]
-        if not any(f.name == name for f in dataclasses.fields(obj)):
-            raise SpecError("unknown config field %r (in override %r)"
-                            % (name, dotted))
-        child = getattr(obj, name)
-        if not dataclasses.is_dataclass(child):
+            if not _type_matches(current, new_value):
+                raise SpecError(
+                    "override %r expects %s, got %r"
+                    % (dotted, type(current).__name__, value))
+        elif dataclasses.is_dataclass(current):
+            new_value = rebuild(current, remaining[1:])
+        else:
             raise SpecError("config field %r is not nested; cannot apply %r"
                             % (name, dotted))
-        return dataclasses.replace(obj, **{name: rebuild(child, remaining[1:])})
+        try:
+            return dataclasses.replace(obj, **{name: new_value})
+        except (TypeError, ValueError) as exc:
+            raise SpecError("override %r=%r is invalid: %s"
+                            % (dotted, value, exc)) from exc
 
-    del leaf
-    return rebuild(config, parts)
+    return rebuild(config, dotted.split("."))
 
 
 def resolve_workload_class(spec):

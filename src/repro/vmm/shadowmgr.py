@@ -277,7 +277,6 @@ class ShadowManager:
         return gpte.frame, leaf_level
 
     @mutates("shadow_pt")
-    @mutates("switching_bits")
     @takes(va="gva", child_gfn="gfn")
     def _install_switch(self, va, level, child_gfn):
         """Install the switching-bit entry at (level, va) -> guest node."""
@@ -339,7 +338,6 @@ class ShadowManager:
     # -- agile mode transitions -------------------------------------------------
 
     @mutates("shadow_pt")
-    @mutates("switching_bits")
     @takes(node_gfn="gfn")
     def switch_to_nested(self, node_gfn):
         """Move one guest PT node (and its whole subtree) to nested mode.
@@ -368,7 +366,6 @@ class ShadowManager:
         return True
 
     @mutates("shadow_pt")
-    @mutates("switching_bits")
     @takes(node_gfn="gfn")
     def revert_to_shadow(self, node_gfn):
         """Move one node back to shadow mode (nested=>shadow).
@@ -434,7 +431,6 @@ class ShadowManager:
         return rebuilt
 
     @mutates("shadow_pt")
-    @mutates("switching_bits")
     def revert_all(self):
         """The simple reversion policy: everything back to shadow mode."""
         reverted = 0
@@ -488,7 +484,6 @@ class ShadowManager:
     # -- start-in-nested (short-lived process) policy -----------------------------
 
     @mutates("shadow_pt")
-    @mutates("switching_bits")
     def enable_shadow_coverage(self):
         """Leave fully-nested mode: agile paging proper begins.
 

@@ -21,11 +21,11 @@ class TestMutates:
 
     def test_stacks_into_a_tuple(self):
         @mutates("shadow_pt")
-        @mutates("switching_bits")
+        @mutates("host_ledger")
         def switch():
             pass
 
-        assert set(switch.__repro_mutates__) == {"shadow_pt", "switching_bits"}
+        assert set(switch.__repro_mutates__) == {"shadow_pt", "host_ledger"}
         assert set(switch.__repro_mutates__) <= set(RESOURCES)
 
     def test_unknown_resource_is_rejected(self):

@@ -7,26 +7,14 @@ gate already proves the unmutated tree passes REPRO406 with zero
 baseline entries; these tests prove that cleanliness is earned.
 """
 
-import os
-import shutil
-
-import repro
 from repro.lint import DEEP_RULES
 from repro.lint.engine import LintEngine
 
-
-def _package_dir():
-    return os.path.dirname(os.path.abspath(repro.__file__))
+from tests.lint.helpers import mutate_package
 
 
 def _mutate(tmp_path, relpath, needle, replacement):
-    mutant = tmp_path / "repro"
-    shutil.copytree(_package_dir(), mutant,
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    target = mutant.joinpath(*relpath.split("/"))
-    source = target.read_text()
-    assert needle in source  # the code this mutation depends on
-    target.write_text(source.replace(needle, replacement))
+    mutant = mutate_package(tmp_path, relpath, needle, replacement)
     findings, _checked = LintEngine(DEEP_RULES).run([str(mutant)])
     return [f for f in findings if f.rule_id == "REPRO406"]
 

@@ -7,30 +7,18 @@ mutation is the literal PR 9 consolidation bug — a clock-windowed
 policy fed host wall time instead of guest virtual time — which broke
 bit-identical solo≡consolidated replay and could previously only be
 caught by the dynamic isolation oracle. The clean-tree gate already
-proves the unmutated tree passes REPRO701–704 with zero baseline
+proves the unmutated tree passes REPRO701–703 with zero baseline
 entries; these tests prove that cleanliness is earned.
 """
 
-import os
-import shutil
-
-import repro
 from repro.lint import DEEP_RULES
 from repro.lint.engine import LintEngine
 
-
-def _package_dir():
-    return os.path.dirname(os.path.abspath(repro.__file__))
+from tests.lint.helpers import mutate_package
 
 
 def _mutate(tmp_path, relpath, needle, replacement, rule_id):
-    mutant = tmp_path / "repro"
-    shutil.copytree(_package_dir(), mutant,
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    target = mutant.joinpath(*relpath.split("/"))
-    source = target.read_text()
-    assert needle in source  # the code this mutation depends on
-    target.write_text(source.replace(needle, replacement))
+    mutant = mutate_package(tmp_path, relpath, needle, replacement)
     findings, _checked = LintEngine(DEEP_RULES).run([str(mutant)])
     return [f for f in findings if f.rule_id == rule_id]
 

@@ -7,26 +7,14 @@ set) catches it with the expected REPRO6xx finding — the same idiom as
 the ``@trap_handler``-stripping mutation in ``test_clean_tree.py``.
 """
 
-import os
-import shutil
-
-import repro
 from repro.lint import DEEP_RULES
 from repro.lint.engine import LintEngine
 
-
-def _package_dir():
-    return os.path.dirname(os.path.abspath(repro.__file__))
+from tests.lint.helpers import mutate_package
 
 
 def _mutate(tmp_path, relpath, needle, replacement):
-    mutant = tmp_path / "repro"
-    shutil.copytree(_package_dir(), mutant,
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    target = mutant.joinpath(*relpath.split("/"))
-    source = target.read_text()
-    assert needle in source  # the code this mutation depends on
-    target.write_text(source.replace(needle, replacement))
+    mutant = mutate_package(tmp_path, relpath, needle, replacement)
     findings, _checked = LintEngine(DEEP_RULES).run([str(mutant)])
     return findings
 

@@ -3,7 +3,7 @@ fail, and ``--write-baseline`` records the current state.
 
 The committed repo baseline (``lint-baseline.json``) is *empty* — the
 annotated tree lints clean — so the ratchet exists purely to keep it
-that way: any new REPRO6xx finding fails CI even if someone tries to
+that way: any new deep-lint finding fails CI even if someone tries to
 grandfather it in by hand-editing the baseline (the key includes the
 message text, so stale entries simply never match).
 """
@@ -15,12 +15,16 @@ import os
 from repro.lint.domains.rules import DOMAIN_RULES
 from repro.lint.runner import load_baseline, run_lint
 
-MIXED = (
+SWAPPED = (
     "from repro.common.addrspace import takes\n"
     "\n"
-    "@takes(gpa=\"gpa\", hpa=\"hpa\")\n"
-    "def confused(gpa, hpa):\n"
-    "    return gpa == hpa\n"
+    "@takes(hfn=\"hfn\")\n"
+    "def host_side(hfn):\n"
+    "    return hfn\n"
+    "\n"
+    "@takes(gfn=\"gfn\")\n"
+    "def caller(gfn):\n"
+    "    return host_side(gfn)\n"
 )
 
 DOUBLE_SHIFT = (
@@ -54,7 +58,7 @@ def _run(package, **kwargs):
 
 
 def test_write_baseline_records_current_findings(tmp_path):
-    package = _write_package(tmp_path, {"core/checks.py": MIXED})
+    package = _write_package(tmp_path, {"core/frames.py": SWAPPED})
     baseline = tmp_path / "baseline.json"
     code, out, err = _run(package, baseline=str(baseline),
                           write_baseline=True)
@@ -63,12 +67,12 @@ def test_write_baseline_records_current_findings(tmp_path):
     payload = json.loads(baseline.read_text())
     assert payload["schema"] == 1
     [entry] = payload["findings"]
-    assert entry["rule_id"] == "REPRO601"
-    assert entry["path"] == "repro/core/checks.py"  # checkout-relative
+    assert entry["rule_id"] == "REPRO602"
+    assert entry["path"] == "repro/core/frames.py"  # checkout-relative
 
 
 def test_baselined_findings_are_tolerated(tmp_path):
-    package = _write_package(tmp_path, {"core/checks.py": MIXED})
+    package = _write_package(tmp_path, {"core/frames.py": SWAPPED})
     baseline = tmp_path / "baseline.json"
     assert _run(package, baseline=str(baseline),
                 write_baseline=True)[0] == 0
@@ -78,7 +82,7 @@ def test_baselined_findings_are_tolerated(tmp_path):
 
 
 def test_new_findings_still_fail(tmp_path):
-    package = _write_package(tmp_path, {"core/checks.py": MIXED})
+    package = _write_package(tmp_path, {"core/frames.py": SWAPPED})
     baseline = tmp_path / "baseline.json"
     assert _run(package, baseline=str(baseline),
                 write_baseline=True)[0] == 0
@@ -92,7 +96,7 @@ def test_new_findings_still_fail(tmp_path):
 
 
 def test_missing_baseline_is_a_usage_error(tmp_path):
-    package = _write_package(tmp_path, {"core/checks.py": MIXED})
+    package = _write_package(tmp_path, {"core/frames.py": SWAPPED})
     code, _out, err = _run(package,
                            baseline=str(tmp_path / "nope.json"))
     assert code == 2
@@ -100,7 +104,7 @@ def test_missing_baseline_is_a_usage_error(tmp_path):
 
 
 def test_malformed_baseline_is_a_usage_error(tmp_path):
-    package = _write_package(tmp_path, {"core/checks.py": MIXED})
+    package = _write_package(tmp_path, {"core/frames.py": SWAPPED})
     baseline = tmp_path / "baseline.json"
     baseline.write_text('{"schema": 99, "findings": []}\n')
     code, _out, err = _run(package, baseline=str(baseline))
@@ -109,7 +113,7 @@ def test_malformed_baseline_is_a_usage_error(tmp_path):
 
 
 def test_write_baseline_requires_baseline_path(tmp_path):
-    package = _write_package(tmp_path, {"core/checks.py": MIXED})
+    package = _write_package(tmp_path, {"core/frames.py": SWAPPED})
     code, _out, err = _run(package, write_baseline=True)
     assert code == 2
     assert "--write-baseline requires --baseline" in err

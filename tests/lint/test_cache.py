@@ -97,9 +97,9 @@ class TestDifferential:
 
 
 @pytest.mark.parametrize("module, rule_id", [
-    ("domains/infer.py", "REPRO601"),
+    ("domains/infer.py", "REPRO602"),
     ("time/infer.py", "REPRO701"),
-    ("absint.py", "REPRO601"),
+    ("absint.py", "REPRO602"),
 ], ids=["domains", "time", "absint"])
 def test_editing_an_analyzer_changes_cache_key(tmp_path, monkeypatch,
                                                module, rule_id):

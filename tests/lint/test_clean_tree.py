@@ -8,43 +8,33 @@ annotation from a VMM entry point must produce a REPRO401 finding.
 """
 
 import os
-import shutil
 
-import repro
 from repro.lint import DEEP_RULES
 from repro.lint.engine import LintEngine
 from repro.lint.rules import DEFAULT_RULES
 
-
-def _package_dir():
-    return os.path.dirname(os.path.abspath(repro.__file__))
+from .helpers import mutate_package, package_dir
 
 
 def test_repro_package_lints_clean():
     engine = LintEngine(DEFAULT_RULES)
-    findings, checked = engine.run([_package_dir()])
+    findings, checked = engine.run([package_dir()])
     assert checked > 20  # sanity: the walk actually found the package
     assert findings == [], "\n".join(f.format() for f in findings)
 
 
 def test_repro_package_deep_lints_clean():
     engine = LintEngine(DEEP_RULES)
-    findings, checked = engine.run([_package_dir()])
+    findings, checked = engine.run([package_dir()])
     assert checked > 20
     assert findings == [], "\n".join(f.format() for f in findings)
 
 
 def test_stripping_a_trap_handler_fails_deep_lint(tmp_path):
     """The acceptance mutation: remove one @trap_handler → REPRO401."""
-    mutant = tmp_path / "repro"
-    shutil.copytree(_package_dir(), mutant,
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    vmm_path = mutant / "vmm" / "vmm.py"
-    source = vmm_path.read_text()
-    needle = "    @trap_handler\n    def handle_shadow_fault"
-    assert needle in source  # the annotation this test depends on
-    vmm_path.write_text(source.replace(
-        needle, "    def handle_shadow_fault"))
+    mutant = mutate_package(tmp_path, "vmm/vmm.py",
+                            "    @trap_handler\n    def handle_shadow_fault",
+                            "    def handle_shadow_fault")
     findings, _checked = LintEngine(DEEP_RULES).run([str(mutant)])
     assert [f.rule_id for f in findings] == ["REPRO401"]
     assert "handle_shadow_fault" in findings[0].message

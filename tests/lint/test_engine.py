@@ -4,6 +4,7 @@ import io
 import json
 
 from repro.cli import main as cli_main
+from repro.lint import DEEP_RULES
 from repro.lint.engine import LintEngine
 from repro.lint.rules import DEFAULT_RULES
 from repro.lint.runner import list_rules, run_lint
@@ -101,8 +102,7 @@ class TestOutput:
         out = io.StringIO()
         assert list_rules(out) == 0
         text = out.getvalue()
-        for rule_id in ("REPRO001", "REPRO101", "REPRO102", "REPRO103",
-                        "REPRO104", "REPRO201"):
+        for rule_id in ("REPRO001",) + tuple(r.rule_id for r in DEEP_RULES):
             assert rule_id in text
 
     def test_non_py_files_are_ignored(self, tmp_path):
@@ -134,4 +134,4 @@ class TestCLI:
     def test_cli_list_rules(self):
         out = io.StringIO()
         assert cli_main(["lint", "--list-rules"], out=out) == 0
-        assert "trap-accounting" in out.getvalue()
+        assert "shadow-authority" in out.getvalue()

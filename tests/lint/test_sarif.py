@@ -11,12 +11,16 @@ import json
 from repro.lint.domains.rules import DOMAIN_RULES
 from repro.lint.runner import run_lint
 
-MIXED = (
+SWAPPED = (
     "from repro.common.addrspace import takes\n"
     "\n"
-    "@takes(gpa=\"gpa\", hpa=\"hpa\")\n"
-    "def confused(gpa, hpa):\n"
-    "    return gpa == hpa\n"
+    "@takes(hfn=\"hfn\")\n"
+    "def host_side(hfn):\n"
+    "    return hfn\n"
+    "\n"
+    "@takes(gfn=\"gfn\")\n"
+    "def caller(gfn):\n"
+    "    return host_side(gfn)\n"
 )
 
 
@@ -43,7 +47,7 @@ def _sarif_run(package):
 
 
 def test_findings_render_as_sarif(tmp_path):
-    package = _write_package(tmp_path, {"core/checks.py": MIXED})
+    package = _write_package(tmp_path, {"core/frames.py": SWAPPED})
     code, payload = _sarif_run(package)
     assert code == 1
     assert payload["version"] == "2.1.0"
@@ -51,25 +55,24 @@ def test_findings_render_as_sarif(tmp_path):
     [run] = payload["runs"]
     assert run["tool"]["driver"]["name"] == "repro-lint"
     [result] = run["results"]
-    assert result["ruleId"] == "REPRO601"
+    assert result["ruleId"] == "REPRO602"
     assert result["level"] == "error"
-    assert "cross-domain comparison" in result["message"]["text"]
+    assert "expects hfn, got gfn" in result["message"]["text"]
     [location] = result["locations"]
     region = location["physicalLocation"]["region"]
-    assert region["startLine"] == 5
-    assert region["startColumn"] == 12  # 0-based col 11, SARIF is 1-based
+    assert region["startLine"] == 9
+    assert region["startColumn"] == 22  # 0-based col 21, SARIF is 1-based
     uri = location["physicalLocation"]["artifactLocation"]["uri"]
-    assert uri.endswith("repro/core/checks.py")
+    assert uri.endswith("repro/core/frames.py")
 
 
 def test_rule_catalogue_covers_parse_errors_and_configured_rules(tmp_path):
-    package = _write_package(tmp_path, {"core/checks.py": MIXED})
+    package = _write_package(tmp_path, {"core/frames.py": SWAPPED})
     _code, payload = _sarif_run(package)
     rule_ids = {rule["id"]
                 for rule in payload["runs"][0]["tool"]["driver"]["rules"]}
     assert "REPRO001" in rule_ids  # syntax errors are reportable
-    assert {"REPRO601", "REPRO602", "REPRO603", "REPRO604",
-            "REPRO605"} <= rule_ids
+    assert {"REPRO602", "REPRO604", "REPRO605"} <= rule_ids
 
 
 def test_clean_tree_renders_empty_results_and_exits_zero(tmp_path):

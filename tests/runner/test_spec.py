@@ -103,6 +103,26 @@ class TestBuildConfig:
             CellSpec.make("mcf",
                           overrides={"paranoid.deep": True}).build_config()
 
+    @pytest.mark.parametrize("overrides, key", [
+        ({"cr3_cache_entries": "x"}, "cr3_cache_entries"),
+        ({"paranoid": 1}, "paranoid"),
+        ({"policy.write_threshold": True}, "policy.write_threshold"),
+        ({"pwc.enabled": 0}, "pwc.enabled"),
+    ])
+    def test_mistyped_value_raises_naming_the_key(self, overrides, key):
+        with pytest.raises(SpecError, match=repr(key)):
+            CellSpec.make("astar", overrides=overrides).build_config()
+
+    def test_int_is_accepted_for_a_float_field(self):
+        config = CellSpec.make(
+            "astar", overrides={"policy.miss_rate_threshold": 7}
+        ).build_config()
+        assert config.policy.miss_rate_threshold == 7
+
+    def test_post_init_failure_raises_naming_the_key(self):
+        with pytest.raises(SpecError, match="'mode'"):
+            CellSpec.make("astar", overrides={"mode": "bogus"}).build_config()
+
 
 class TestBuildWorkload:
     def test_suite_lookup_and_cell_seed_threading(self):
