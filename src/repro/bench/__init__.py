@@ -4,8 +4,8 @@ Every ``benchmarks/bench_*.py`` registers one benchmark target via the
 :func:`bench_target` decorator, declaring its output ``BENCH_*.json``
 name and regression gates. The harness discovers targets, runs them
 with warmup/repeat/min-time control, and writes schema-versioned
-reports carrying the result, host/python/git provenance, and an
-embedded ``repro.obs.metrics`` snapshot. ``repro bench --compare``
+reports carrying the result, its flattened numeric view and
+host/python/git provenance. ``repro bench --compare``
 evaluates a fresh run against a committed baseline and fails on
 regressions beyond each gate's declared tolerance (lint rule REPRO302
 keeps the benchmarks tree registered).

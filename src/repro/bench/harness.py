@@ -10,8 +10,7 @@ A report file looks like::
                      "git_sha": ..., "generated_at": ...},
       "gates": [{"metric": "summary.agile_vs_best_overhead_ratio", ...}],
       "result": {...},          # whatever the bench function returned
-      "metrics": {...},         # flattened numeric view of result
-      "obs_metrics": {...}      # repro.obs.metrics snapshot (schema'd)
+      "metrics": {...}          # flattened numeric view of result
     }
 
 ``metrics`` is the comparison surface: every numeric leaf of ``result``
@@ -26,8 +25,6 @@ import platform
 import subprocess
 import time
 
-from repro.obs.metrics import MetricsRegistry
-
 #: Version of the BENCH report wrapper. The *inner* ``result`` shape
 #: belongs to each benchmark; this versions the envelope.
 BENCH_REPORT_SCHEMA_VERSION = 2
@@ -39,22 +36,19 @@ def _wall_time():
 
 
 class BenchContext:
-    """What a benchmark body gets: budgets, a timer, a metrics registry.
+    """What a benchmark body gets: op budgets and a timer.
 
     ``quick`` asks for a CI-smoke-sized run; :meth:`ops` is the budget
     helper benchmarks use to honour it. ``repeat`` overrides each
     target's timing repeat count; ``ops_override`` pins the op budget
     regardless of quick scaling (the ``repro bench --ops`` escape
-    hatch). ``metrics`` accumulates instrumentation across the whole
-    invocation and is embedded in every report.
+    hatch).
     """
 
-    def __init__(self, quick=False, ops_override=None, repeat=None,
-                 metrics=None):
+    def __init__(self, quick=False, ops_override=None, repeat=None):
         self.quick = quick
         self.ops_override = ops_override
         self.repeat = repeat
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
 
     def ops(self, full, quick=None):
         """The op budget for this run: ``full``, its quick-mode version
@@ -140,8 +134,8 @@ def run_target(target, ctx, out_dir="."):
 
     Returns ``(report, path)``. The bench function receives ``ctx`` and
     returns the JSON-safe ``result`` payload; everything else
-    (provenance, gates, flattened metrics, obs snapshot) is the
-    harness's job, so every BENCH file is uniform.
+    (provenance, gates, flattened metrics) is the harness's job, so
+    every BENCH file is uniform.
     """
     result = target.func(ctx)
     if not isinstance(result, dict):
@@ -156,7 +150,6 @@ def run_target(target, ctx, out_dir="."):
         "gates": [gate.to_dict() for gate in target.gates],
         "result": result,
         "metrics": flatten_numeric(result),
-        "obs_metrics": ctx.metrics.snapshot().to_dict(),
     }
     if out_dir and not os.path.isdir(out_dir):
         os.makedirs(out_dir, exist_ok=True)

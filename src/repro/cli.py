@@ -41,7 +41,6 @@ from repro.common.params import PAGE_SIZES
 from repro.core.machine import System
 from repro.core.simulator import Simulator
 from repro.fuzz.scenario import PROFILES
-from repro.obs.metrics import MetricsRegistry
 from repro.workloads.suite import PAPER_FOOTPRINTS, SUITE
 
 
@@ -274,11 +273,9 @@ def cmd_sweep(args, out, err):
         line += _throughput_suffix(event)
         print(line, file=err)
 
-    registry = MetricsRegistry()
     runner = SweepRunner(workers=args.workers, cache=cache,
                          timeout=args.timeout, retries=args.retries,
-                         progress=progress, trace_dir=args.trace_dir,
-                         metrics=registry)
+                         progress=progress, trace_dir=args.trace_dir)
     sweep = runner.run(cells, shard=shard)
 
     # With --json - the table would corrupt the JSON stream; divert it.
@@ -302,9 +299,6 @@ def cmd_sweep(args, out, err):
         traced = sum(1 for r in sweep if r.trace_path is not None)
         print("%d trace payload(s) in %s" % (traced, args.trace_dir), file=err)
     if args.json:
-        # Ship the runner's metrics snapshot with the summary so sharded
-        # invocations can be merged downstream (MetricsSnapshot.merge).
-        summary["metrics"] = registry.snapshot().to_dict()
         if args.json == "-":
             print(json.dumps(summary, indent=2, sort_keys=True), file=out)
         else:
@@ -509,12 +503,11 @@ def cmd_fuzz(args, out, err):
         line += _throughput_suffix(event)
         print(line, file=err)
 
-    registry = MetricsRegistry()
     campaign = FuzzCampaign(
         corpus_dir=args.corpus_out, workers=args.workers,
         timeout=args.timeout, shrink_budget=args.shrink_budget,
         do_shrink=not args.no_shrink, capture_traces=not args.no_traces,
-        time_budget=args.time_budget, progress=progress, metrics=registry)
+        time_budget=args.time_budget, progress=progress)
     report = campaign.run(specs, shard=shard)
 
     print("Fuzz campaign [%s, %s, %s]: %d case(s), %d clean, %d failed "
@@ -536,9 +529,7 @@ def cmd_fuzz(args, out, err):
                   % (failure.shrunk_ops, failure.reproducer), file=err)
         if failure.trace:
             print("  obs trace: %s" % failure.trace, file=err)
-    summary = report.summary()
-    summary["metrics"] = registry.snapshot().to_dict()
-    emit_json(summary)
+    emit_json(report.summary())
     return 0 if report.ok else 1
 
 
@@ -651,6 +642,17 @@ def cmd_check(args, out, err):
     return cmd_lint(args, out, err)
 
 
+def _positive_int(text):
+    """argparse type for counts and periods: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be >= 1, got %d" % value)
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -663,7 +665,7 @@ def build_parser():
     def add_common(p, with_mode=True):
         p.add_argument("--workload", choices=sorted(_workload_classes()),
                        default="mcf")
-        p.add_argument("--ops", type=int, default=60_000)
+        p.add_argument("--ops", type=_positive_int, default=60_000)
         p.add_argument("--page-size", choices=sorted(PAGE_SIZES), default="4K")
         if with_mode:
             p.add_argument("--mode", choices=EXTENDED_MODES, default="agile")
@@ -685,14 +687,14 @@ def build_parser():
         "--modes", default="native,nested,shadow,shsp,agile")
 
     fig5_parser = sub.add_parser("figure5", help="the Figure 5 grid")
-    fig5_parser.add_argument("--ops", type=int, default=60_000)
+    fig5_parser.add_argument("--ops", type=_positive_int, default=60_000)
     fig5_parser.add_argument("--workloads", default=None,
                              help="comma-separated subset")
     fig5_parser.add_argument("--chart", action="store_true",
                              help="render ASCII stacked bars too")
 
     t6_parser = sub.add_parser("table6", help="Table VI miss mix")
-    t6_parser.add_argument("--ops", type=int, default=60_000)
+    t6_parser.add_argument("--ops", type=_positive_int, default=60_000)
     t6_parser.add_argument("--workloads", default=None)
 
     sub.add_parser("tables", help="Tables I/II/III")
@@ -706,10 +708,10 @@ def build_parser():
                               help="comma-separated paging modes")
     sweep_parser.add_argument("--page-sizes", default="4K",
                               help="comma-separated page sizes (4K,2M,1G)")
-    sweep_parser.add_argument("--ops", type=int, default=20_000)
+    sweep_parser.add_argument("--ops", type=_positive_int, default=20_000)
     sweep_parser.add_argument("--seed", type=int, default=None,
                               help="override every workload's default seed")
-    sweep_parser.add_argument("--workers", type=int, default=1,
+    sweep_parser.add_argument("--workers", type=_positive_int, default=1,
                               help="worker processes (1 = in-process serial)")
     sweep_parser.add_argument("--timeout", type=float, default=None,
                               help="per-cell timeout in seconds "
@@ -745,12 +747,12 @@ def build_parser():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("workload", choices=sorted(_workload_classes()),
                        help="suite workload to run")
-        p.add_argument("--ops", type=int, default=60_000)
+        p.add_argument("--ops", type=_positive_int, default=60_000)
         p.add_argument("--mode", choices=EXTENDED_MODES, default="agile")
         p.add_argument("--page-size", choices=sorted(PAGE_SIZES), default="4K")
         p.add_argument("--seed", type=int, default=None,
                        help="override the workload's default seed")
-        p.add_argument("--every", type=int, default=1024,
+        p.add_argument("--every", type=_positive_int, default=1024,
                        help="interval-sampling period in operations")
         p.add_argument("--no-pwc", action="store_true",
                        help="disable page-walk caches")
@@ -777,7 +779,7 @@ def build_parser():
     psweep_parser = sub.add_parser("policy-sweep", help="sweep a policy knob")
     psweep_parser.add_argument("--workload", choices=sorted(_workload_classes()),
                                default="memcached")
-    psweep_parser.add_argument("--ops", type=int, default=60_000)
+    psweep_parser.add_argument("--ops", type=_positive_int, default=60_000)
     psweep_parser.add_argument("--param", default="write_threshold",
                                choices=("write_threshold", "write_interval",
                                         "revert_interval"))
@@ -785,11 +787,11 @@ def build_parser():
 
     fuzz_parser = sub.add_parser(
         "fuzz", help="differential fuzzing: cross-mode equivalence oracle")
-    fuzz_parser.add_argument("--seeds", type=int, default=50,
+    fuzz_parser.add_argument("--seeds", type=_positive_int, default=50,
                              help="number of scenario seeds to run")
     fuzz_parser.add_argument("--seed-base", type=int, default=0,
                              help="first seed (scenarios use seed-base..+seeds)")
-    fuzz_parser.add_argument("--ops", type=int, default=300,
+    fuzz_parser.add_argument("--ops", type=_positive_int, default=300,
                              help="guest ops per scenario")
     fuzz_parser.add_argument("--profile", choices=sorted(PROFILES),
                              default="default", help="scenario op-mix profile")
@@ -797,7 +799,7 @@ def build_parser():
                              help="comma-separated modes compared in lockstep")
     fuzz_parser.add_argument("--page-sizes", default="4K",
                              help="comma-separated page sizes (4K,2M)")
-    fuzz_parser.add_argument("--workers", type=int, default=1,
+    fuzz_parser.add_argument("--workers", type=_positive_int, default=1,
                              help="worker processes (1 = in-process serial)")
     fuzz_parser.add_argument("--timeout", type=float, default=None,
                              help="per-case timeout in seconds "
@@ -847,9 +849,9 @@ def build_parser():
     bench_parser.add_argument("--quick", action="store_true",
                               help="CI-smoke budgets: each target scales its "
                                    "op counts down (see BenchContext.ops)")
-    bench_parser.add_argument("--ops", type=int, default=None,
+    bench_parser.add_argument("--ops", type=_positive_int, default=None,
                               help="pin every target's op budget")
-    bench_parser.add_argument("--repeat", type=int, default=None,
+    bench_parser.add_argument("--repeat", type=_positive_int, default=None,
                               help="override each target's timing repeats")
     bench_parser.add_argument("--bench-dir", default="benchmarks",
                               help="directory of bench_*.py files "

@@ -43,10 +43,10 @@ class HostSystem:
     """N consolidated VMs behind a ``System``-shaped runner façade."""
 
     def __init__(self, host_config=None, machine_config=None, configs=None,
-                 tracer=None, metrics=None):
+                 tracer=None):
         self.host = Host(host_config=host_config,
                          machine_config=machine_config, configs=configs,
-                         tracer=tracer, metrics=metrics)
+                         tracer=tracer)
         self.config = self.host.config
         self.clock = self.host.clock
 
@@ -75,7 +75,7 @@ class HostSystem:
 
 
 def run_consolidated(workloads, host_config=None, machine_config=None,
-                     configs=None, tracer=None, metrics=None):
+                     configs=None, tracer=None):
     """One-call convenience: build a host, run, return per-VM metrics.
 
     Mirrors :func:`repro.core.simulator.run_workload` at host scale::
@@ -96,6 +96,6 @@ def run_consolidated(workloads, host_config=None, machine_config=None,
         host_config = HostConfig(vms=len(workloads))
     system = HostSystem(host_config=host_config,
                         machine_config=machine_config, configs=configs,
-                        tracer=tracer, metrics=metrics)
+                        tracer=tracer)
     metrics_per_vm = system.run(workloads)
     return metrics_per_vm, system.host_report()

@@ -22,7 +22,6 @@ from repro.hw.mmu import MMU, MMUCounters
 from repro.hw.walkstats import TranslationContext
 from repro.mem.physmem import PhysicalMemory
 from repro.obs.events import MARK_MEASUREMENT_START
-from repro.obs.metrics import NULL_METRICS
 from repro.obs.tracer import NULL_TRACER
 from repro.vmm.vmm import VMM
 
@@ -82,16 +81,15 @@ class System(GuestPlatform):
         # Observability: null objects until attach_observability.
         self.tracer = NULL_TRACER
         self.recorder = None
-        self.metrics = NULL_METRICS
 
-    def attach_observability(self, tracer=None, recorder=None, metrics=None):
-        """Install a tracer, interval recorder, and/or metrics registry.
+    def attach_observability(self, tracer=None, recorder=None):
+        """Install a tracer and/or an interval recorder.
 
         Threads the tracer into every instrumented component (MMU, page
         walker, VMM trap accounting, per-process policies) and hooks the
         recorder into the policy epoch so sampling adds no per-op work.
-        A metrics registry is threaded the same way (MMU and walker) and
-        sampled at policy epochs for occupancy gauges. Idempotent; call
+        The counts themselves live in ``System``, ``MMUCounters`` and
+        ``TrapStats`` and are read by :meth:`snapshot`. Idempotent; call
         any time after construction.
         """
         if tracer is not None:
@@ -104,10 +102,6 @@ class System(GuestPlatform):
                 self.vmm.attach_tracer(tracer)
         if recorder is not None:
             self.recorder = recorder
-        if metrics is not None:
-            self.metrics = metrics
-            self.mmu.metrics = metrics
-            self.mmu.walker.metrics = metrics
 
     # -- GuestPlatform plumbing (kernel -> VMM/hardware) ----------------------
 
@@ -255,8 +249,6 @@ class System(GuestPlatform):
         self._epoch_ops = 0
         if self.recorder is not None:
             self.recorder.maybe_sample(self)
-        if self.metrics.enabled:
-            self._sample_occupancy()
         if self.vmm is None:
             return
         misses = self.mmu.counters.tlb_misses
@@ -264,33 +256,6 @@ class System(GuestPlatform):
         self._epoch_misses_base = misses
         self.vmm.set_miss_rate(1000.0 * epoch_misses / POLICY_EPOCH_OPS)
         self.vmm.policy_tick()
-
-    def _sample_occupancy(self):
-        """Gauge TLB/PWC fill levels (sampled at policy epochs only).
-
-        Gauges are last-value instruments merged as high-water marks, so
-        epoch-rate sampling is enough to answer "did the structure ever
-        fill up" without per-op cost.
-        """
-        metrics = self.metrics
-        l1 = l2 = 0
-        for hierarchy in self.mmu.hierarchy.hierarchies.values():
-            l1 += hierarchy.l1d.occupancy()
-            if hierarchy.l1i is not None:
-                l1 += hierarchy.l1i.occupancy()
-            if hierarchy.l2 is not None:
-                l2 += hierarchy.l2.occupancy()
-        metrics.set_gauge("tlb.l1.occupancy", l1)
-        metrics.set_gauge("tlb.l2.occupancy", l2)
-        if self.mmu.pwc is not None:
-            # A metric name, not a CellSpec override key — REPRO502
-            # would otherwise try to resolve `pwc.*` against PWCConfig.
-            metrics.set_gauge(
-                "pwc.occupancy",  # lint: disable=config-keys
-                self.mmu.pwc.occupancy())
-        if self.mmu.nested_tlb is not None:
-            metrics.set_gauge("nested_tlb.occupancy",
-                              self.mmu.nested_tlb.occupancy())
 
     @advances("guest_sim")
     @charges("sink:warmup")

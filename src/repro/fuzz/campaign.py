@@ -27,7 +27,6 @@ from repro.fuzz import corpus as corpus_mod
 from repro.fuzz.oracle import DEFAULT_MODES, DifferentialOracle, build_system
 from repro.fuzz.scenario import ScenarioGenerator
 from repro.fuzz.shrink import shrink
-from repro.obs.metrics import NULL_METRICS
 from repro.runner.sweep import SweepRunner, shard_cells
 
 
@@ -190,8 +189,7 @@ class FuzzCampaign:
 
     def __init__(self, corpus_dir=None, workers=1, timeout=None,
                  shrink_budget=200, do_shrink=True, capture_traces=True,
-                 time_budget=None, progress=None, mp_context=None,
-                 metrics=None):
+                 time_budget=None, progress=None, mp_context=None):
         self.corpus_dir = corpus_dir
         self.workers = workers
         self.timeout = timeout
@@ -201,7 +199,6 @@ class FuzzCampaign:
         self.time_budget = time_budget
         self.progress = progress
         self.mp_context = mp_context
-        self.metrics = metrics if metrics is not None else NULL_METRICS
 
     def run(self, specs, shard=None):
         started = _wall_time()
@@ -209,8 +206,7 @@ class FuzzCampaign:
         runner = SweepRunner(
             workers=self.workers, cache=None, timeout=self.timeout,
             retries=0, progress=None, mp_context=self.mp_context,
-            executor=execute_fuzz_case, decode=FuzzCaseResult.from_dict,
-            metrics=self.metrics)
+            executor=execute_fuzz_case, decode=FuzzCaseResult.from_dict)
         remaining = list(specs)
         if shard is not None:
             # Pre-filter instead of sharding per wave: shard assignment
@@ -237,10 +233,6 @@ class FuzzCampaign:
                 else:
                     report.failures.append(self._process_failure(cell))
         report.elapsed = _wall_time() - started
-        if self.metrics.enabled:
-            self.metrics.inc("fuzz.cases", report.cases)
-            self.metrics.inc("fuzz.clean", report.clean)
-            self.metrics.inc("fuzz.failed", len(report.failures))
         return report
 
     def _wave_progress(self, done_base, total, started):

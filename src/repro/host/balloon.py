@@ -23,12 +23,11 @@ class BalloonDriver:
     """Selects victims and revokes frames when the ledger hits the wall."""
 
     def __init__(self, host_config, ledger, vms, tracer=NULL_TRACER,
-                 metrics=None, clock=None):
+                 clock=None):
         self.config = host_config
         self.ledger = ledger
         self.vms = {vm.vm_id: vm for vm in vms}
         self.tracer = tracer
-        self.metrics = metrics
         self.clock = clock
         self.episodes = 0
         self.frames_reclaimed = 0
@@ -94,7 +93,4 @@ class BalloonDriver:
                 now = (self.clock.now if self.clock is not None
                        else victim.system.clock.now)
                 tracer.balloon(now, victim.vm_id, freed, requester_vm_id)
-            if self.metrics is not None and self.metrics.enabled:
-                self.metrics.inc(
-                    "host.vm%d.balloon_frames" % victim.vm_id, freed)
         return freed_total

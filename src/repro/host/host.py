@@ -38,7 +38,7 @@ class Host:
     """One consolidated physical machine."""
 
     def __init__(self, host_config=None, machine_config=None, configs=None,
-                 tracer=None, metrics=None):
+                 tracer=None):
         """Assemble the host.
 
         ``machine_config`` applies one :class:`MachineConfig` to every
@@ -60,7 +60,6 @@ class Host:
                                                   self.config.vms))
         self.clock = Clock()
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.metrics = metrics
         self.memory = HostMemoryManager(self.config.commit_limit_frames)
         self.vms = []
         for vm_id, config in enumerate(configs):
@@ -76,16 +75,15 @@ class Host:
             # its VMM's policy intervals) sees only its own cycles.
             system = System(config, clock=VirtualClock(self.clock),
                             host_mem=host_mem)
-            if tracer is not None or metrics is not None:
-                system.attach_observability(tracer=tracer, metrics=metrics)
+            if tracer is not None:
+                system.attach_observability(tracer=tracer)
             vm = VirtualMachine(vm_id, system,
                                 weight=self.config.weight_of(vm_id))
             self.vms.append(vm)
         self.scheduler = VCpuScheduler(self.config, self.clock,
-                                       tracer=self.tracer, metrics=metrics)
+                                       tracer=self.tracer)
         self.balloon = BalloonDriver(self.config, self.memory, self.vms,
-                                     tracer=self.tracer, metrics=metrics,
-                                     clock=self.clock)
+                                     tracer=self.tracer, clock=self.clock)
 
     def _reservation_for(self, config):
         """Host frames reserved for one VM.

@@ -21,12 +21,10 @@ from repro.obs.tracer import NULL_TRACER
 class VCpuScheduler:
     """Interleaves VM programs on the shared clock until all finish."""
 
-    def __init__(self, host_config, clock, tracer=NULL_TRACER,
-                 metrics=None):
+    def __init__(self, host_config, clock, tracer=NULL_TRACER):
         self.config = host_config
         self.clock = clock
         self.tracer = tracer
-        self.metrics = metrics
         self.current = None
         self.world_switches = 0
         self.world_switch_cycles = 0
@@ -57,8 +55,6 @@ class VCpuScheduler:
             tracer.vm_switch(self.clock.now - cycles,
                              old_vm.vm_id if old_vm is not None else None,
                              new_vm.vm_id, cycles)
-        if self.metrics is not None and self.metrics.enabled:
-            self.metrics.inc("host.vm%d.world_switches" % new_vm.vm_id)
         flush = not self.config.vpid and old_vm is not None
         if new_vm.system.vmm is not None:
             new_vm.system.vmm.vm_resume(flush_tlb=flush)

@@ -13,7 +13,6 @@ from repro.hw.pwc import PageWalkCache
 from repro.hw.tlbhierarchy import MultiSizeTLB
 from repro.hw.walker import PageWalker
 from repro.hw.walkstats import NESTED_FULL
-from repro.obs.metrics import NULL_METRICS
 from repro.obs.tracer import NULL_TRACER
 
 
@@ -92,12 +91,11 @@ class MMU:
         # BadgerTrap analogue: when set, called as miss_hook(va, WalkResult)
         # after every successful page walk (i.e., every TLB miss).
         self.miss_hook = None
-        # Observability: null objects until System.attach_observability
-        # installs a real tracer/registry; `clock` is set alongside the
-        # tracer. Hot paths pay one attribute load + branch when off.
+        # Observability: a null tracer until System.attach_observability
+        # installs a real one; `clock` is set alongside the tracer. Hot
+        # paths pay one attribute load + branch when off.
         self.tracer = NULL_TRACER
         self.clock = None
-        self.metrics = NULL_METRICS
 
     @takes(va="gva")
     def translate(self, ctx, va, is_write=False, kind="data"):
@@ -129,8 +127,6 @@ class MMU:
         self.counters.walk_refs += result.refs
         if ctx.mode == "agile":
             self.counters.walks_by_depth[result.nested_levels] += 1
-        if self.metrics.enabled:
-            self.metrics.observe("walker.refs", result.refs)
         if tracer.enabled:
             tracer.walk(self.clock.now if self.clock else 0, result.mode,
                         result.refs, result.nested_levels, result.page_shift,

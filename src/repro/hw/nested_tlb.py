@@ -65,7 +65,3 @@ class NestedTLB:
 
     def flush(self):
         self._entries.clear()
-
-    def occupancy(self):
-        """Live entries (for occupancy gauges)."""
-        return len(self._entries)

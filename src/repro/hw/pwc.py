@@ -102,7 +102,3 @@ class PageWalkCache:
     def flush(self):
         for table in self._tables.values():
             table.clear()
-
-    def occupancy(self):
-        """Live entries across all skip tables (for occupancy gauges)."""
-        return sum(len(table) for table in self._tables.values())

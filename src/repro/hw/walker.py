@@ -35,7 +35,6 @@ from repro.common.params import (
 )
 from repro.hw.pwc import PWC_GUEST, PWC_NATIVE, PWC_SHADOW
 from repro.hw.walkstats import NESTED_FULL, WalkResult
-from repro.obs.metrics import NULL_METRICS
 from repro.obs.tracer import NULL_TRACER
 
 
@@ -88,12 +87,11 @@ class PageWalker:
         # hits of the current walk (the MMU resets it per translation).
         self.pte_cache = None
         self.cached_refs = 0
-        # Observability: null objects until System.attach_observability
-        # installs a tracer/registry; probes of the walk-acceleration
-        # structures (PWCs, nested TLB) are emitted as `pwc` events.
+        # Observability: a null tracer until System.attach_observability
+        # installs one; probes of the walk-acceleration structures (PWCs,
+        # nested TLB) are emitted as `pwc` events.
         self.tracer = NULL_TRACER
         self.clock = None
-        self.metrics = NULL_METRICS
 
     # -- low-level helpers -------------------------------------------------
 

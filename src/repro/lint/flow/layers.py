@@ -12,10 +12,9 @@ with ``core``: a Host assembles N per-VM machines exactly the way
 ``HostSystem`` runner, so the two packages legitimately import each
 other sideways.
 
-Three deliberate inversions are declared rather than discovered:
-``repro.obs.tracer``, ``repro.obs.events``, and ``repro.obs.metrics``
-sit at layer 0 even though the rest of ``repro.obs`` is a layer-5
-consumer. They are the observability *ports* — pure data types plus a
+Two deliberate inversions are declared rather than discovered:
+``repro.obs.tracer`` and ``repro.obs.events`` sit at layer 0 even
+though the rest of ``repro.obs`` is a layer-5 consumer. They are the observability *ports* — pure data types plus a
 null object with no imports of their own — that hw/vmm/core emit into,
 the standard dependency-inversion shape (the alternative, homing them
 in ``common``, would split the obs package's public API in two).
@@ -43,7 +42,6 @@ LAYERS = {
 MODULE_LAYER_OVERRIDES = {
     "repro.obs.tracer": 0,
     "repro.obs.events": 0,
-    "repro.obs.metrics": 0,
 }
 
 

@@ -1,9 +1,10 @@
 """repro.obs: structured event tracing, interval time-series, exporters.
 
-The simulator's telemetry layer. Aggregates (``RunMetrics``) say what a
-run cost; this subsystem says *when* and *why* — every VMtrap, page
-walk, TLB/PWC probe, policy decision, context switch and guest fault as
-a typed, timestamped event, plus counters sampled over time.
+The simulator's telemetry layer. Aggregates (``RunMetrics``, the one
+counter store) say what a run cost; this subsystem says *when* and
+*why* — every VMtrap, page walk, TLB/PWC probe, policy decision, context
+switch and guest fault as a typed, timestamped event, plus those same
+counters sampled over time.
 
 Quickstart::
 
@@ -41,17 +42,6 @@ from repro.obs.events import (
     vmtrap_counts,
 )
 from repro.obs.interval import IntervalRecorder
-from repro.obs.metrics import (
-    DEFAULT_BUCKETS,
-    METRICS_SNAPSHOT_SCHEMA_VERSION,
-    NULL_METRICS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    MetricsSnapshot,
-    NullMetrics,
-)
 from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer
 
 __all__ = [
@@ -72,13 +62,4 @@ __all__ = [
     "NULL_TRACER",
     "NullTracer",
     "Tracer",
-    "DEFAULT_BUCKETS",
-    "METRICS_SNAPSHOT_SCHEMA_VERSION",
-    "NULL_METRICS",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "MetricsSnapshot",
-    "NullMetrics",
 ]

@@ -31,7 +31,6 @@ import traceback
 from collections import OrderedDict, deque
 from dataclasses import dataclass
 
-from repro.obs.metrics import NULL_METRICS
 from repro.runner.spec import execute_cell
 
 STATUS_OK = "ok"  # simulated this run
@@ -248,7 +247,7 @@ class SweepRunner:
 
     def __init__(self, workers=1, cache=None, timeout=None, retries=1,
                  mp_context=None, progress=None, poll_interval=0.01,
-                 trace_dir=None, executor=None, decode=None, metrics=None):
+                 trace_dir=None, executor=None, decode=None):
         if workers < 1:
             raise ValueError("workers must be >= 1")
         if retries < 0:
@@ -263,11 +262,6 @@ class SweepRunner:
         self.trace_dir = trace_dir
         self.executor = executor if executor is not None else execute_cell
         self.decode = decode
-        # Throughput heartbeats: per-status cell counters, a simulated-ops
-        # histogram, and a cells/sec gauge, all recorded into the caller's
-        # registry. The gauge is wall-clock derived, so determinism
-        # comparisons must use counters/histograms only.
-        self.metrics = metrics if metrics is not None else NULL_METRICS
         self._started = None
         self._shard = None
 
@@ -327,7 +321,6 @@ class SweepRunner:
         return list(unique.values())
 
     def _report(self, result, results):
-        self._heartbeat(result, results)
         if self.progress is None:
             return
         done = sum(1 for r in results.values() if r.status is not None)
@@ -347,28 +340,6 @@ class SweepRunner:
         if self._shard is not None:
             event["shard"] = self._shard
         self.progress(event)
-
-    def _heartbeat(self, result, results):
-        """Record one cell completion into the metrics registry.
-
-        Counters and histograms here are scheduling-independent (they
-        depend only on which cells completed and their deterministic
-        simulated results), so serial and sharded sweeps merge to equal
-        totals; the cells/sec gauge is the one wall-clock-derived value.
-        """
-        metrics = self.metrics
-        if not metrics.enabled or result.status is None:
-            return
-        metrics.inc("runner.cells.%s" % result.status)
-        sim_ops = getattr(result.metrics, "ops", None)
-        if sim_ops is not None:
-            metrics.inc("runner.sim_ops", sim_ops)
-            metrics.observe("runner.cell_sim_ops", sim_ops,
-                            bounds=(1000, 10_000, 100_000, 1_000_000))
-        wall = _wall_time() - self._started if self._started else 0.0
-        if wall > 0:
-            done = sum(1 for r in results.values() if r.status is not None)
-            metrics.set_gauge("runner.cells_per_sec", done / wall)
 
     def _decode(self, data):
         """Rebuild a result object from its over-the-pipe dict form."""

@@ -53,7 +53,7 @@ class TestBenchCommand:
         assert report["quick"] is True
         assert report["metrics"]["summary.speedup"] == 10.0
         assert report["metrics"]["summary.ops"] == 1000  # quick floor
-        assert "provenance" in report and "obs_metrics" in report
+        assert "provenance" in report
         assert "BENCH_demo.json" in out
         assert "bench demo" in err  # progress stays on stderr
 

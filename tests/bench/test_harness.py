@@ -13,7 +13,6 @@ from repro.bench import (
     run_target,
 )
 from repro.bench.harness import flatten_numeric, load_report
-from repro.obs.metrics import MetricsRegistry
 
 
 class TestBenchContext:
@@ -53,7 +52,6 @@ class TestRunTarget:
         @bench_target("demo", output="BENCH_demo.json",
                       gates=(Gate("value", "higher", 0.1),))
         def bench(ctx):
-            ctx.metrics.inc("demo.calls")
             return result
 
         return bench.__bench_target__
@@ -69,7 +67,8 @@ class TestRunTarget:
             {"metric": "value", "direction": "higher", "tolerance": 0.1}]
         assert report["result"] == {"value": 3, "nested": {"x": 1.5}}
         assert report["metrics"] == {"value": 3, "nested.x": 1.5}
-        assert report["obs_metrics"]["counters"] == {"demo.calls": 1}
+        assert set(report) == {"schema", "benchmark", "quick", "provenance",
+                               "gates", "result", "metrics"}
         for key in ("host", "platform", "python", "git_sha", "generated_at"):
             assert key in report["provenance"]
         with open(path, encoding="utf-8") as handle:
@@ -98,9 +97,3 @@ class TestProvenance:
         stamp = provenance()
         # The bench package lives inside the repo, so rev-parse resolves.
         assert stamp["git_sha"] is None or len(stamp["git_sha"]) == 40
-
-    def test_metrics_registry_defaults_per_context(self):
-        a, b = BenchContext(), BenchContext()
-        assert a.metrics is not b.metrics
-        shared = MetricsRegistry()
-        assert BenchContext(metrics=shared).metrics is shared

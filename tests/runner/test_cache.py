@@ -3,6 +3,8 @@
 import json
 import os
 
+import pytest
+
 from repro.runner import (
     STATUS_CACHED,
     STATUS_OK,
@@ -91,16 +93,22 @@ class TestCorruptionRecovery:
         assert cache.get(spec) is None
         assert not os.path.exists(cache.entry_path(spec))
 
-    def test_wrong_cell_key_in_entry_is_a_miss(self, tmp_path):
+    @pytest.mark.parametrize("field", ["cell_key", "fingerprint"])
+    def test_wrong_cell_key_in_entry_is_a_miss(self, tmp_path, field):
+        # An entry in this generation's directory whose own key or code
+        # fingerprint disagrees is stale: it is deleted, never served.
         cache = ResultCache(tmp_path)
         spec = tiny_cell()
         cache.put(spec, execute_cell(spec))
-        with open(cache.entry_path(spec), encoding="utf-8") as handle:
+        path = cache.entry_path(spec)
+        with open(path, encoding="utf-8") as handle:
             entry = json.load(handle)
-        entry["cell_key"] = "0" * 64
-        with open(cache.entry_path(spec), "w", encoding="utf-8") as handle:
+        entry[field] = "0" * 64
+        with open(path, "w", encoding="utf-8") as handle:
             json.dump(entry, handle)
         assert cache.get(spec) is None
+        assert not os.path.exists(path)
+        assert cache.corrupt == 1
 
 
 class TestInvalidation:

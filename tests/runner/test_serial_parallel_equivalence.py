@@ -159,39 +159,3 @@ class TestTable5WarmCache:
         assert set(cold) == set(warm)
         for name in cold:
             assert cold[name].to_dict() == warm[name].to_dict(), name
-
-
-class TestMetricsAggregation:
-    """Runner heartbeat metrics obey the same differential guarantee:
-    counters and histograms depend only on which cells completed and
-    their deterministic results, so a serial sweep and the merge of its
-    shard snapshots must agree exactly. (The cells/sec gauge is the one
-    wall-clock-derived value and is deliberately excluded.)"""
-
-    def _swept(self, cells, shard=None, workers=1):
-        from repro.obs.metrics import MetricsRegistry
-
-        registry = MetricsRegistry()
-        (SweepRunner(workers=workers, metrics=registry)
-         .run(cells, shard=shard).raise_on_failure())
-        return registry.snapshot()
-
-    def test_serial_equals_merged_shard_totals(self):
-        serial = self._swept(MATRIX)
-        shards = [self._swept(MATRIX, shard=(k, 3)) for k in range(3)]
-        merged = shards[0].merge(shards[1]).merge(shards[2])
-        assert merged.counters == serial.counters
-        assert merged.histograms == serial.histograms
-
-    def test_parallel_equals_serial_totals(self):
-        serial = self._swept(MATRIX)
-        parallel = self._swept(MATRIX, workers=PARALLEL_WORKERS)
-        assert parallel.counters == serial.counters
-        assert parallel.histograms == serial.histograms
-
-    def test_heartbeats_count_every_cell(self):
-        snap = self._swept(MATRIX)
-        assert snap.counters["runner.cells.ok"] == len(MATRIX)
-        assert snap.counters["runner.sim_ops"] == sum(
-            spec.ops for spec in MATRIX)
-        assert snap.histograms["runner.cell_sim_ops"]["count"] == len(MATRIX)

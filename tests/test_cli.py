@@ -20,6 +20,12 @@ def run_cli_streams(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def _bad_flag(argv):
+    """The flag whose value in ``argv`` is a non-positive count."""
+    return next(argv[i - 1] for i, arg in enumerate(argv)
+                if arg.lstrip("-").isdigit())
+
+
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
@@ -32,6 +38,24 @@ class TestParser:
     def test_rejects_unknown_mode(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--mode", "paravirt"])
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--workload", "dedup", "--ops", "-5"],
+        ["compare", "--ops", "0"],
+        ["trace", "dedup", "--ops", "0"],
+        ["bench", "--ops", "0", "table2_walk_refs"],
+        ["bench", "--repeat", "0"],
+        ["fuzz", "--seeds", "0"],
+        ["figure5", "--ops", "0"],
+        ["sweep", "--workers", "0"],
+        ["trace", "dedup", "--every", "0"],
+    ], ids=lambda argv: argv[0] + _bad_flag(argv))
+    def test_rejects_non_positive_counts(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert ("argument %s: must be >= 1" % _bad_flag(argv)
+                in capsys.readouterr().err)
 
     def test_defaults(self):
         args = build_parser().parse_args(["run"])
