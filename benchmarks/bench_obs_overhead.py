@@ -38,8 +38,9 @@ ABS_FLOOR_SECONDS = 0.05
 #: Best-of-N timing to shed scheduler noise.
 TIMING_ROUNDS = 3
 
-#: The configurations under test, in measurement order. Each attach
-#: callable receives the freshly built system (None = baseline).
+#: The configurations under test. Each attach callable receives the
+#: freshly built system (None = baseline); every call builds fresh
+#: observability objects, so no round inherits another's events.
 def _configs():
     tracer, recorder = Tracer(), IntervalRecorder(every=1024)
     return (
@@ -51,20 +52,14 @@ def _configs():
 
 
 def _timed(ops, attach=None):
-    """Best-of-N wall time for one seeded dedup/agile Simulator run."""
-    best = None
-    result = None
-    for _ in range(TIMING_ROUNDS):
-        system = System(sandy_bridge_config(mode="agile"))
-        if attach is not None:
-            attach(system)
-        workload = DedupLike(seed=7, ops=ops)
-        begin = time.perf_counter()
-        metrics = Simulator(system).run(workload)
-        elapsed = time.perf_counter() - begin
-        if best is None or elapsed < best:
-            best, result = elapsed, metrics
-    return best, result
+    """Wall time and metrics of one seeded dedup/agile Simulator run."""
+    system = System(sandy_bridge_config(mode="agile"))
+    if attach is not None:
+        attach(system)
+    workload = DedupLike(seed=7, ops=ops)
+    begin = time.perf_counter()
+    metrics = Simulator(system).run(workload)
+    return time.perf_counter() - begin, metrics
 
 
 def _check(timings):
@@ -94,8 +89,21 @@ def _rows(timings):
 
 
 def _run(ops):
-    """Time and check every configuration; returns ``{label: (s, m)}``."""
-    timings = {label: _timed(ops, attach) for label, attach in _configs()}
+    """Time and check every configuration; returns ``{label: (s, m)}``.
+
+    Best-of-``TIMING_ROUNDS``, interleaved: each round times every
+    configuration once, the order rotating by one per round, so no
+    configuration always runs first and absorbs the process's
+    first-run costs.
+    """
+    timings = {}
+    for round_index in range(TIMING_ROUNDS):
+        configs = _configs()
+        shift = round_index % len(configs)
+        for label, attach in configs[shift:] + configs[:shift]:
+            seconds, metrics = _timed(ops, attach)
+            if label not in timings or seconds < timings[label][0]:
+                timings[label] = (seconds, metrics)
     _check(timings)
     return timings
 

@@ -642,15 +642,27 @@ def cmd_check(args, out, err):
     return cmd_lint(args, out, err)
 
 
-def _positive_int(text):
-    """argparse type for counts and periods: an integer >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError("invalid int value: %r" % text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be >= 1, got %d" % value)
-    return value
+def _at_least(parse, bound, strict=False):
+    """argparse type: a ``parse`` number >= ``bound`` (> when ``strict``)."""
+    relation = ">" if strict else ">="
+
+    def convert(text):
+        try:
+            value = parse(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                "invalid %s value: %r" % (parse.__name__, text))
+        if not (value > bound if strict else value >= bound):
+            raise argparse.ArgumentTypeError(
+                "must be %s %s, got %s" % (relation, bound, value))
+        return value
+    return convert
+
+
+#: Counts and periods; retry and shrink budgets; seconds.
+_positive_int = _at_least(int, 1)
+_non_negative_int = _at_least(int, 0)
+_positive_float = _at_least(float, 0, strict=True)
 
 
 def build_parser():
@@ -713,10 +725,10 @@ def build_parser():
                               help="override every workload's default seed")
     sweep_parser.add_argument("--workers", type=_positive_int, default=1,
                               help="worker processes (1 = in-process serial)")
-    sweep_parser.add_argument("--timeout", type=float, default=None,
+    sweep_parser.add_argument("--timeout", type=_positive_float, default=None,
                               help="per-cell timeout in seconds "
                                    "(enforced when workers > 1)")
-    sweep_parser.add_argument("--retries", type=int, default=1,
+    sweep_parser.add_argument("--retries", type=_non_negative_int, default=1,
                               help="extra attempts per failed/timed-out cell")
     sweep_parser.add_argument("--cache-dir", default=".repro-cache",
                               help="on-disk result cache location")
@@ -801,10 +813,11 @@ def build_parser():
                              help="comma-separated page sizes (4K,2M)")
     fuzz_parser.add_argument("--workers", type=_positive_int, default=1,
                              help="worker processes (1 = in-process serial)")
-    fuzz_parser.add_argument("--timeout", type=float, default=None,
+    fuzz_parser.add_argument("--timeout", type=_positive_float, default=None,
                              help="per-case timeout in seconds "
                                   "(enforced when workers > 1)")
-    fuzz_parser.add_argument("--time-budget", type=float, default=None,
+    fuzz_parser.add_argument("--time-budget", type=_positive_float,
+                             default=None,
                              help="stop dispatching new cases after this "
                                   "many seconds")
     fuzz_parser.add_argument("--corpus-out", default="fuzz-corpus",
@@ -818,13 +831,14 @@ def build_parser():
                                   "(repeatable)")
     fuzz_parser.add_argument("--no-shrink", action="store_true",
                              help="record failing scenarios full-size")
-    fuzz_parser.add_argument("--shrink-budget", type=int, default=200,
+    fuzz_parser.add_argument("--shrink-budget", type=_non_negative_int,
+                             default=200,
                              help="max oracle evaluations per shrink")
     fuzz_parser.add_argument("--no-traces", action="store_true",
                              help="skip obs trace capture for failures")
-    fuzz_parser.add_argument("--compare-every", type=int, default=1,
+    fuzz_parser.add_argument("--compare-every", type=_positive_int, default=1,
                              help="op period of the fault-counter cross-check")
-    fuzz_parser.add_argument("--check-every", type=int, default=64,
+    fuzz_parser.add_argument("--check-every", type=_positive_int, default=64,
                              help="op period of the full invariant sweep")
     fuzz_parser.add_argument("--no-paranoid", action="store_true",
                              help="disable per-trap invariant checking")

@@ -10,14 +10,8 @@ The paper (and this reproduction) uses the standard x86-64 layout:
 
 Levels are numbered as in the paper's Table II: level 4 is the root
 (the PML4 in Intel terms) and level 1 holds the leaf PTEs.
-
-The address-carrying helpers are annotated with the space-generic
-:mod:`repro.common.addrspace` domains (``addr``/``frame``/``offset``)
-because they serve gVA, gPA and hPA alike; the domain analyzer
-(REPRO602/604/605) specializes them at each call site.
 """
 
-from repro.common.addrspace import returns, takes
 
 PAGE_SHIFT = 12
 PAGE_SIZE = 1 << PAGE_SHIFT
@@ -72,8 +66,6 @@ def level_shift(level):
     return PAGE_SHIFT + LEVEL_BITS * (level - 1)
 
 
-@takes(va="addr")
-@returns("offset")
 def pt_index(va, level):
     """The 9-bit index used to select an entry at ``level`` for ``va``.
 
@@ -82,22 +74,16 @@ def pt_index(va, level):
     return (va >> level_shift(level)) & (ENTRIES_PER_NODE - 1)
 
 
-@takes(va="addr")
-@returns("frame")
 def page_number(va, page_shift=PAGE_SHIFT):
     """Virtual (or physical) page number of ``va`` at a given granule."""
     return va >> page_shift
 
 
-@takes(va="addr")
-@returns("offset")
 def page_offset(va, page_shift=PAGE_SHIFT):
     """Offset of ``va`` within its page at a given granule."""
     return va & ((1 << page_shift) - 1)
 
 
-@takes(va="addr")
-@returns("addr")
 def page_base(va, page_shift=PAGE_SHIFT):
     """The address of the start of the page containing ``va``."""
     return va & ~((1 << page_shift) - 1)

@@ -18,17 +18,13 @@ simulation in the test suite.
 
 Units: this is the one layer where cycles are *floats* — averages,
 scaled projections, and overhead ratios, not integer clock ticks. Every
-cycle-valued input and output is still a ``duration`` in the
-``repro.common.timedomain`` sense (an interval, never an epoch on some
-clock), and the annotations below declare exactly that; the simulator's
-integer clocks stay on the other side of
-:func:`measured_run_from_metrics`. Overhead ratios (``PW``, ``VMM``)
-are dimensionless and carry no annotation.
+cycle-valued input and output is still a duration (an interval, never
+an epoch on some clock); the simulator's integer clocks stay on the
+other side of :func:`measured_run_from_metrics`. Overhead ratios
+(``PW``, ``VMM``) are dimensionless.
 """
 
 from dataclasses import dataclass, field
-
-from repro.common.timedomain import cycles
 
 
 def _ratio(numerator, denominator):
@@ -59,26 +55,22 @@ class MeasuredRun:
     hypervisor_cycles: float = 0.0
 
     @property
-    @cycles("duration")
     def avg_cycles_per_miss(self):
         """Table IV: C = T / M."""
         return _ratio(self.tlb_miss_cycles, self.tlb_misses)
 
 
-@cycles("duration")
 def ideal_cycles(best_run):
     """Table IV: E_ideal = E_2M - T_2M (from the best native run)."""
     return best_run.total_cycles - best_run.tlb_miss_cycles
 
 
-@cycles(e_ideal="duration")
 def page_walk_overhead(run, e_ideal):
     """Table IV: PW = (E - E_ideal - H) / E_ideal."""
     return _ratio(run.total_cycles - e_ideal - run.hypervisor_cycles,
                   e_ideal)
 
 
-@cycles(e_ideal="duration")
 def vmm_overhead(run, e_ideal):
     """Table IV: VMM = H / E_ideal."""
     return _ratio(run.hypervisor_cycles, e_ideal)
@@ -102,7 +94,6 @@ class AgileFractions:
         return max(0.0, 1.0 - sum(self.fn.values()))
 
 
-@cycles(e_ideal="duration")
 def agile_walk_overhead(fractions, shadow_run, nested_run, base_misses, e_ideal):
     """Table IV: PW_A, the projected agile page-walk overhead.
 
@@ -127,7 +118,6 @@ def agile_walk_overhead(fractions, shadow_run, nested_run, base_misses, e_ideal)
     return _ratio(cycles_per_miss * base_misses, e_ideal)
 
 
-@cycles(e_ideal="duration")
 def agile_vmm_overhead(fractions, shadow_run, trap_cycles_by_reason, e_ideal):
     """Table IV: VMM_A = OS - sum_i(FV_i * CE_i).
 

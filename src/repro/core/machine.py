@@ -15,7 +15,6 @@ from repro.common.errors import (
     ShadowProtectionFault,
     SimulationError,
 )
-from repro.common.timedomain import advances, charges
 from repro.core.metrics import COUNTS, RunMetrics
 from repro.guest.kernel import GuestKernel, GuestPlatform
 from repro.hw.mmu import MMU, MMUCounters
@@ -78,6 +77,9 @@ class System(GuestPlatform):
         self._epoch_ops = 0
         self._epoch_misses_base = 0
         self._measurement_start = 0
+        # Idle policy intervals (settle_policies): cycles on the clock
+        # that no RunMetrics counter reports, kept for conservation.
+        self._idle_cycles = 0
         # Observability: null objects until attach_observability.
         self.tracer = NULL_TRACER
         self.recorder = None
@@ -152,8 +154,6 @@ class System(GuestPlatform):
             return self.vmm.ctx_for(proc)
         return self._native_ctxs[proc.pid]
 
-    @advances("guest_sim")
-    @charges("ideal_cycles")
     def access(self, va, is_write=False, kind="data"):
         """One memory access by the current process.
 
@@ -209,15 +209,11 @@ class System(GuestPlatform):
     def write(self, va):
         return self.access(va, is_write=True)
 
-    @advances("guest_sim")
-    @charges("walk_cycles")
     def _charge_refs(self, refs):
         cycles = refs * self.cost.cycles_per_walk_ref
         self.walk_cycles += cycles
         self.clock.advance(cycles)
 
-    @advances("guest_sim")
-    @charges("walk_cycles", "tlb_l2_cycles", "sink:tlb_l1_hit")
     def _charge_translation(self, outcome):
         if outcome.hit_level == "l1":
             if self.cost.cycles_tlb_l1_hit:
@@ -235,8 +231,6 @@ class System(GuestPlatform):
             else:
                 self._charge_refs(outcome.walk.refs)
 
-    @advances("guest_sim")
-    @charges("guest_fault_cycles")
     def _handle_guest_fault(self, proc, va, is_write):
         self.guest_faults += 1
         self.guest_fault_cycles += self.cost.guest_fault_cycles
@@ -257,8 +251,6 @@ class System(GuestPlatform):
         self.vmm.set_miss_rate(1000.0 * epoch_misses / POLICY_EPOCH_OPS)
         self.vmm.policy_tick()
 
-    @advances("guest_sim")
-    @charges("sink:warmup")
     def settle_policies(self, intervals=2):
         """Let VMM policy epochs elapse with the guest idle.
 
@@ -277,6 +269,7 @@ class System(GuestPlatform):
         step = max(self.config.policy.revert_interval,
                    self.config.policy.write_interval)
         for _interval in range(intervals):
+            self._idle_cycles += step
             self.clock.advance(step)
             self.vmm.policy_tick()
 
@@ -290,6 +283,7 @@ class System(GuestPlatform):
         """
         for name in _OWN_COUNTS:
             setattr(self, name, 0)
+        self._idle_cycles = 0
         self.mmu.counters.reset()
         # The epoch miss rate is a difference of tlb_misses readings, so
         # its base restarts with the counter.
@@ -333,9 +327,32 @@ class System(GuestPlatform):
         return RunMetrics(label, self.config.mode, self.config.page_size,
                           **values)
 
+    def unattributed_cycles(self):
+        """Measured-window clock cycles that no counter accounts for.
+
+        Every advance of this machine's clock charges a counter: the
+        ideal, walk, L2-hit and guest-fault cycles, the VMM's trap
+        cycles, L1 hits at their (default zero) cost, or idle policy
+        intervals. Zero when cycles are conserved.
+        """
+        attributed = (self.ideal_cycles + self.walk_cycles
+                      + self.tlb_l2_cycles + self.guest_fault_cycles
+                      + self._idle_cycles
+                      + self.mmu.counters.tlb_hits_l1
+                      * self.cost.cycles_tlb_l1_hit)
+        if self.vmm is not None:
+            attributed += self.vmm.traps.total_attributed_cycles
+        return self.clock.now - self._measurement_start - attributed
+
     def collect_metrics(self, label="run"):
-        """The end-of-run :meth:`snapshot`, after a final paranoid sweep."""
+        """The end-of-run :meth:`snapshot`, after a final paranoid sweep
+        and a cycle-conservation check."""
         # A run's numbers are only worth reporting if the machine state
-        # they came from is still coherent.
+        # they came from is still coherent and every cycle is charged.
         self.check_invariants()
+        gap = self.unattributed_cycles()
+        if gap:
+            raise SimulationError(
+                "%d cycles on the clock charged to no counter "
+                "(mode %s)" % (gap, self.config.mode))
         return self.snapshot(label)

@@ -64,8 +64,9 @@ class BalloonDriver:
 
         The driver advances no clock of its own: revocation cycles are
         charged on each *victim's* virtual clock by its VMM's trap
-        accounting, and the driver is not a host-clock authority
-        (REPRO702) — it only reads timestamps for trace events.
+        accounting, and the driver only reads timestamps for trace
+        events. An advance here would fail ``Host.run``'s
+        cycle-conservation check.
         """
         freed_total = 0
         exhausted = set()

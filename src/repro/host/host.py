@@ -14,11 +14,12 @@ numbers — so consolidation changes *when* a guest runs and what its
 traps cost, never what its translations resolve to.
 
 Time authority: the ``Host`` owns the one wall-time :class:`Clock` and
-hands each VM a :class:`VirtualClock` view of it. ``repro.lint.time``
-(REPRO702) pins that arrangement — only ``Host`` and
-``VCpuScheduler`` may advance the host clock directly; everything
-VM-side bills its own view and reaches host wall time solely through
-the pass-through inside ``repro.common.clock``.
+hands each VM a :class:`VirtualClock` view of it. Only
+``VCpuScheduler`` advances the host clock directly (world switches);
+everything VM-side bills its own view and reaches host wall time solely
+through the pass-through inside ``repro.common.clock``. :meth:`Host.run`
+checks the arrangement at the end of every run: host time must equal
+the VMs' virtual time plus the world switches.
 """
 
 from dataclasses import replace
@@ -110,8 +111,21 @@ class Host:
             vm.load(program)
 
     def run(self):
-        """Schedule every loaded program to completion."""
+        """Schedule every loaded program to completion.
+
+        Then check cycle conservation: host wall time is exactly the
+        VMs' virtual times plus the scheduler's world switches. A cycle
+        advanced on the host clock that no VM and no world switch
+        accounts for raises :class:`SimulationError`, naming the gap.
+        """
         self.scheduler.run(self.vms)
+        accounted = (sum(vm.system.clock.now for vm in self.vms)
+                     + self.scheduler.world_switch_cycles)
+        if self.clock.now != accounted:
+            raise SimulationError(
+                "host clock %d != VM virtual time + world switches %d "
+                "(%+d unattributed cycles)"
+                % (self.clock.now, accounted, self.clock.now - accounted))
 
     def collect_metrics(self, label=None):
         """Per-VM :class:`RunMetrics`, in ``vm_id`` order."""

@@ -21,7 +21,6 @@ twice would silently corrupt a *different VM* once the ledger undercounts
 (exactly the bug class the revocation path risks).
 """
 
-from repro.common.addrspace import returns, takes
 from repro.common.effects import mutates
 from repro.common.errors import SimulationError
 from repro.mem.physmem import OutOfMemoryError, PhysicalMemory
@@ -46,7 +45,6 @@ class MeteredMemory(PhysicalMemory):
         self.base = base
         self._live = set()
 
-    @takes(frame="frame")
     def global_frame(self, frame):
         """The host-global frame number of a VM-local frame."""
         return self.base + frame
@@ -58,21 +56,18 @@ class MeteredMemory(PhysicalMemory):
     # the tree. The REPRO406 authority boundary is drawn at the uniquely
     # named ledger mutators (charge/credit) instead.
 
-    @returns("frame")
     def alloc_frame(self, contents=None):
         self.ledger.charge(self.vm_id, 1)
         frame = super().alloc_frame(contents)
         self._live.add(frame)
         return frame
 
-    @returns("frame")
     def alloc_contiguous(self, count):
         self.ledger.charge(self.vm_id, count)
         frame = super().alloc_contiguous(count)
         self._live.update(range(frame, frame + count))
         return frame
 
-    @takes(frame="frame")
     def free_frame(self, frame):
         if frame not in self._live:
             raise SimulationError(

@@ -14,7 +14,6 @@ clock between quanta — never inside a guest's step — so each guest's
 operation stream is untouched by scheduling.
 """
 
-from repro.common.timedomain import advances, charges, cycles
 from repro.obs.tracer import NULL_TRACER
 
 
@@ -29,13 +28,10 @@ class VCpuScheduler:
         self.world_switches = 0
         self.world_switch_cycles = 0
 
-    @cycles("duration")
     def quantum_for(self, vm):
         """This VM's time slice, in cycles (weighted round-robin)."""
         return max(1, int(self.config.quantum_cycles * vm.weight))
 
-    @advances("host_wall")
-    @charges("world_switch_cycles")
     def world_switch(self, new_vm):
         """Deschedule the current VM and put ``new_vm`` on the core."""
         old_vm = self.current

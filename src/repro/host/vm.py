@@ -16,7 +16,6 @@ the property the determinism tests and the cross-VM isolation oracle
 both assert.
 """
 
-from repro.common.timedomain import cycles
 from repro.core.simulator import MachineAPI
 
 
@@ -98,7 +97,6 @@ class VirtualMachine:
         self._measured_base = self.cpu_cycles + partial
 
     @property
-    @cycles("duration")
     def measured_cpu_cycles(self):
         """vCPU cycles since ``start_measurement`` (whole run if never called)."""
         base = self._measured_base if self._measured_base is not None else 0

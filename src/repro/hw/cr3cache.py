@@ -9,8 +9,6 @@ The VMM fills and invalidates the cache.
 
 from collections import OrderedDict
 
-from repro.common.addrspace import returns, takes
-
 
 class CR3CacheStats:
     __slots__ = ("hits", "misses")
@@ -30,8 +28,6 @@ class CR3Cache:
         self._entries = OrderedDict()
         self.stats = CR3CacheStats()
 
-    @takes(gcr3="gfn")
-    @returns("hfn")
     def lookup(self, gcr3):
         """The cached shadow root for ``gcr3`` or None (counts stats)."""
         sptr = self._entries.get(gcr3)
@@ -42,7 +38,6 @@ class CR3Cache:
         self.stats.hits += 1
         return sptr
 
-    @takes(gcr3="gfn", sptr="hfn")
     def insert(self, gcr3, sptr):
         """VMM fills the cache after resolving a miss."""
         if gcr3 not in self._entries and len(self._entries) >= self.capacity:
@@ -50,7 +45,6 @@ class CR3Cache:
         self._entries[gcr3] = sptr
         self._entries.move_to_end(gcr3)
 
-    @takes(gcr3="gfn")
     def invalidate(self, gcr3):
         """VMM drops a pair when the shadow root changes or dies."""
         self._entries.pop(gcr3, None)

@@ -7,7 +7,6 @@ and VM exits) to the caller, which models the OS/VMM handling them and
 retrying, exactly as hardware re-executes the faulting instruction.
 """
 
-from repro.common.addrspace import takes
 from repro.hw.nested_tlb import NestedTLB
 from repro.hw.pwc import PageWalkCache
 from repro.hw.tlbhierarchy import MultiSizeTLB
@@ -97,7 +96,6 @@ class MMU:
         self.tracer = NULL_TRACER
         self.clock = None
 
-    @takes(va="gva")
     def translate(self, ctx, va, is_write=False, kind="data"):
         """Translate ``va``; may raise a guest fault or VM exit.
 
@@ -140,7 +138,6 @@ class MMU:
 
     # -- shootdown interface used by the OS and VMM -------------------------
 
-    @takes(va="gva")
     def invalidate_page(self, asid, va):
         self.hierarchy.invalidate_page(asid, va)
         if self.pwc is not None:
@@ -166,7 +163,6 @@ class MMU:
         if self.pwc is not None:
             self.pwc.flush()
 
-    @takes(gfn="gfn")
     def invalidate_nested_gfn(self, gfn):
         if self.nested_tlb is not None:
             self.nested_tlb.invalidate_gfn(gfn)

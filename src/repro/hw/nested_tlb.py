@@ -10,8 +10,6 @@ machine config) and is an ablation axis.
 
 from collections import OrderedDict
 
-from repro.common.addrspace import returns, takes
-
 
 class NestedTLBStats:
     __slots__ = ("hits", "misses")
@@ -31,8 +29,6 @@ class NestedTLB:
         self._entries = OrderedDict()  # gfn -> (hfn, writable, dirty)
         self.stats = NestedTLBStats()
 
-    @takes(gfn="gfn")
-    @returns("hfn", None, None)
     def lookup(self, gfn, is_write):
         """Cached (hfn, writable, dirty) for ``gfn`` or None.
 
@@ -52,14 +48,12 @@ class NestedTLB:
         self.stats.hits += 1
         return hit
 
-    @takes(gfn="gfn", hfn="hfn")
     def insert(self, gfn, hfn, writable, dirty):
         if gfn not in self._entries and len(self._entries) >= self.capacity:
             self._entries.popitem(last=False)
         self._entries[gfn] = (hfn, writable, dirty)
         self._entries.move_to_end(gfn)
 
-    @takes(gfn="gfn")
     def invalidate_gfn(self, gfn):
         self._entries.pop(gfn, None)
 

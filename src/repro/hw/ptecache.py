@@ -16,7 +16,6 @@ array like a small slice of an L2 cache.
 
 from collections import OrderedDict
 
-from repro.common.addrspace import takes
 
 PTES_PER_LINE = 8
 
@@ -45,7 +44,6 @@ class PTECache:
         self._sets = [OrderedDict() for _ in range(self.num_sets)]
         self.stats = PTECacheStats()
 
-    @takes(frame="frame")
     def access(self, space, frame, index):
         """Touch the line holding entry ``index`` of node ``frame``.
 
@@ -65,7 +63,6 @@ class PTECache:
         self.stats.misses += 1
         return False
 
-    @takes(frame="frame")
     def invalidate_frame(self, space, frame):
         """Drop every line of one node (the frame was freed/repurposed)."""
         for entries in self._sets:

@@ -11,7 +11,6 @@ used by native and nested walks.
 
 from collections import OrderedDict
 
-from repro.common.addrspace import takes
 from repro.common.params import ROOT_LEVEL, level_shift
 
 # What the cached pointer points at / which mode the walk continues in.
@@ -47,13 +46,11 @@ class PageWalkCache:
         self.stats = PWCStats()
 
     @staticmethod
-    @takes(va="addr")
     def _tag(asid, va, depth):
         # The top `depth` radix indices: the VA bits above the index
         # field of the last level the cached entry lets the walk skip.
         return asid, va >> level_shift(ROOT_LEVEL - depth + 1)
 
-    @takes(va="addr")
     def lookup(self, asid, va):
         """Deepest available partial translation for ``va``.
 
@@ -75,7 +72,6 @@ class PageWalkCache:
         self.stats.misses += 1
         return None
 
-    @takes(va="addr", frame="frame")
     def insert(self, asid, va, depth, frame, mode):
         """Cache the node reached after walking ``depth`` levels of ``va``."""
         if not self.enabled or not 1 <= depth <= self.MAX_SKIP:
@@ -93,7 +89,6 @@ class PageWalkCache:
             for key in [k for k in table if k[0] == asid]:
                 del table[key]
 
-    @takes(va="addr")
     def invalidate_prefix(self, asid, va):
         """Drop entries covering ``va`` (called when PT structure changes)."""
         for depth, table in self._tables.items():

@@ -8,8 +8,6 @@ creates the entry differs between modes.
 
 from collections import OrderedDict
 
-from repro.common.addrspace import takes
-
 
 class TLBEntry:
     """One cached translation."""
@@ -72,11 +70,9 @@ class TLB:
         self._sets = [OrderedDict() for _ in range(self.num_sets)]
         self.stats = TLBStats()
 
-    @takes(vpn="vpn")
     def _set_for(self, vpn):
         return self._sets[vpn % self.num_sets]
 
-    @takes(va="gva")
     def lookup(self, asid, va, update_stats=True):
         """The entry translating ``va`` for ``asid``, or None on a miss."""
         vpn = va >> self.page_shift
@@ -104,7 +100,6 @@ class TLB:
         self.stats.fills += 1
         return entry
 
-    @takes(va="gva")
     def invalidate_page(self, asid, va):
         """Drop the entry for one page (the INVLPG analogue)."""
         vpn = va >> self.page_shift
@@ -131,7 +126,6 @@ class TLB:
 
     # -- non-perturbing introspection (paranoid-mode invariant checks) ------
 
-    @takes(va="gva")
     def peek(self, asid, va):
         """Like :meth:`lookup`, but touches neither stats nor LRU order.
 

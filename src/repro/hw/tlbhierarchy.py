@@ -6,7 +6,6 @@ Section VI). Lookups probe L1 then L2; fills populate both; all
 invalidations are broadcast.
 """
 
-from repro.common.addrspace import takes
 from repro.hw.tlb import TLB, TLBEntry
 
 
@@ -34,7 +33,6 @@ class TLBHierarchy:
             return self.l1i
         return self.l1d
 
-    @takes(va="gva")
     def lookup(self, asid, va, kind="data"):
         """Probe L1 then L2. Returns (entry, level) with level in
         {"l1", "l2", None}."""
@@ -50,7 +48,6 @@ class TLBHierarchy:
                 return entry, "l2"
         return None, None
 
-    @takes(va="gva", frame="hfn")
     def fill(self, asid, va, frame, writable, dirty, kind="data"):
         """Install a fresh translation into L1 (+L2)."""
         entry = TLBEntry(
@@ -74,7 +71,6 @@ class TLBHierarchy:
             structures.append(self.l2)
         return structures
 
-    @takes(va="gva")
     def invalidate_page(self, asid, va):
         for tlb in self._all():
             tlb.invalidate_page(asid, va)
@@ -92,7 +88,6 @@ class TLBHierarchy:
         for tlb in self._all():
             yield from tlb.iter_entries()
 
-    @takes(va="gva")
     def peek(self, asid, va):
         """First matching entry for ``va`` with no stats/LRU effects."""
         for tlb in self._all():
@@ -140,7 +135,6 @@ class MultiSizeTLB:
         self._order = sorted(self.hierarchies,
                              key=lambda s: (s != primary.shift, s))
 
-    @takes(va="gva")
     def lookup(self, asid, va, kind="data"):
         for shift in self._order:
             entry, level = self.hierarchies[shift].lookup(asid, va, kind)
@@ -148,7 +142,6 @@ class MultiSizeTLB:
                 return entry, level
         return None, None
 
-    @takes(va="gva", frame="hfn")
     def fill(self, asid, va, frame, writable, dirty, page_shift, kind="data"):
         """Install at the largest supported granule <= ``page_shift``."""
         candidates = [s for s in self.hierarchies if s <= page_shift]
@@ -159,7 +152,6 @@ class MultiSizeTLB:
             frame = frame_4k - ((va >> 12) & ((1 << (shift - 12)) - 1))
         return self.hierarchies[shift].fill(asid, va, frame, writable, dirty, kind)
 
-    @takes(va="gva")
     def invalidate_page(self, asid, va):
         for hierarchy in self.hierarchies.values():
             hierarchy.invalidate_page(asid, va)
@@ -177,7 +169,6 @@ class MultiSizeTLB:
         for hierarchy in self.hierarchies.values():
             yield from hierarchy.iter_entries()
 
-    @takes(va="gva")
     def peek_entries(self, asid, va):
         """All entries translating ``va`` across granules, side-effect free."""
         found = []

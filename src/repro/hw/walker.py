@@ -19,7 +19,6 @@ guest OS, everything derived from ``VMExit`` goes to the VMM. A raised
 fault carries the references spent so far, so partial walks are charged.
 """
 
-from repro.common.addrspace import returns, takes, translates
 from repro.common.errors import (
     GuestPageFault,
     HostPageFault,
@@ -38,16 +37,12 @@ from repro.hw.walkstats import NESTED_FULL, WalkResult
 from repro.obs.tracer import NULL_TRACER
 
 
-@takes(addr="addr")
-@returns("frame")
 def _frame_4k(pte, addr, level):
     """The exact 4 KB frame backing ``addr`` given a leaf at ``level``."""
     span_frames = 1 << (level_shift(level) - 12)
     return pte.frame + ((addr >> 12) & (span_frames - 1))
 
 
-@takes(frame_4k="frame", va="addr")
-@returns("frame")
 def _entry_base(frame_4k, va, eff_shift):
     """Base frame of the translation granule containing ``va``."""
     return frame_4k - ((va >> 12) & ((1 << (eff_shift - 12)) - 1))
@@ -65,10 +60,11 @@ class PageWalker:
     Time accounting: the walker never advances a clock. It *counts*
     memory references in its :class:`~repro.hw.walkstats.WalkResult`,
     and ``System._charge_refs``/``_charge_translation`` convert those
-    counts to cycles on the machine's own (guest) clock under their
-    ``@charges`` declarations — so ``repro.lint.time`` (REPRO703) sees
-    one charging surface, not one per walk flavor. The only clock use
-    here is the read-only trace timestamp in :meth:`_probe`.
+    counts to cycles on the machine's own (guest) clock, charging
+    ``walk_cycles`` — one charging surface, not one per walk flavor, so
+    ``System.collect_metrics``'s cycle-conservation check covers every
+    walk. The only clock use here is the read-only trace timestamp in
+    :meth:`_probe`.
     """
 
     def __init__(self, host_mem, guest_mem=None, pwc=None, nested_tlb=None,
@@ -103,13 +99,11 @@ class PageWalker:
         """Trace one walk-accelerator probe (called only when tracing)."""
         self.tracer.pwc(self.clock.now if self.clock else 0, structure, hit)
 
-    @takes(frame="frame")
     def _touch(self, space, frame, index):
         """Classify one walk reference against the PTE data cache."""
         if self.pte_cache is not None and self.pte_cache.access(space, frame, index):
             self.cached_refs += 1
 
-    @takes(frame="frame")
     def _node(self, mem, frame, what):
         node = mem.read(frame)
         if node is None:
@@ -118,8 +112,6 @@ class PageWalker:
 
     # -- Figure 2(a): 1D host / native walk ---------------------------------
 
-    @takes(addr="gpa", hptr="hfn", va="gva")
-    @returns("hfn", None, None, None)
     def host_walk(self, addr, hptr, is_write=False, va=None, structure="hPT"):
         """Walk the host (or native) table for ``addr``.
 
@@ -163,7 +155,6 @@ class PageWalker:
             pwc_fills.append((ROOT_LEVEL - (level - 1), node.frame, PWC_NATIVE))
         raise SimulationError("host walk fell off the table")  # pragma: no cover
 
-    @takes(va="gva")
     def native_walk(self, va, ctx, is_write=False):
         """Base-native translation: a single 1D walk (Figure 1(a))."""
         refs = 0
@@ -216,9 +207,6 @@ class PageWalker:
 
     # -- Figure 2(e): one nested page-table access ---------------------------
 
-    @translates("gfn", "hfn")
-    @takes(gfn="gfn", hptr="hfn", va="gva")
-    @returns("hfn", None, None)
     def _translate_gfn(self, gfn, hptr, is_write, va):
         """gfn -> host 4K frame via nested TLB or a host walk.
 
@@ -236,7 +224,6 @@ class PageWalker:
             self.nested_tlb.insert(gfn, hfn, pte.writable, pte.dirty)
         return hfn, level_shift(level), refs
 
-    @takes(node_gfn="gfn", va="gva", hptr="hfn")
     def _nested_pt_access(self, node_gfn, va, level, hptr, is_write):
         """Read one guest PTE, then host-walk the gPA it names.
 
@@ -275,7 +262,6 @@ class PageWalker:
 
     # -- Figure 2(b): full nested walk ---------------------------------------
 
-    @takes(va="gva")
     def nested_walk(self, va, ctx, is_write=False, translate_root=True):
         """2D nested translation (Figure 1(b)); up to 24 references."""
         refs = 0
@@ -301,7 +287,6 @@ class PageWalker:
         return self._nested_levels(va, ctx, is_write, node_gfn, start_level,
                                    refs, pwc_fills, nested_tag=NESTED_FULL)
 
-    @takes(va="gva", node_gfn="gfn")
     def _nested_levels(self, va, ctx, is_write, node_gfn, start_level, refs,
                        pwc_fills, nested_tag):
         """Walk guest levels ``start_level``..leaf in nested mode."""
@@ -338,14 +323,12 @@ class PageWalker:
 
     # -- Figure 2(c): shadow walk --------------------------------------------
 
-    @takes(va="gva")
     def shadow_walk(self, va, ctx, is_write=False):
         """1D walk of the shadow table; native-speed TLB misses."""
         return self._shadow_levels(va, ctx, is_write, allow_switching=False)
 
     # -- Figure 4: agile walk --------------------------------------------------
 
-    @takes(va="gva")
     def agile_walk(self, va, ctx, is_write=False):
         """Start in shadow mode; switch to nested at a switching bit.
 
@@ -361,7 +344,6 @@ class PageWalker:
                                        refs=0, pwc_fills=[], nested_tag="agile")
         return self._shadow_levels(va, ctx, is_write, allow_switching=True)
 
-    @takes(va="gva")
     def _shadow_levels(self, va, ctx, is_write, allow_switching):
         refs = 0
         node = self._node(self.host_mem, ctx.sptr, "sPT")
@@ -420,7 +402,6 @@ class PageWalker:
 
     # -- dispatch ---------------------------------------------------------------
 
-    @takes(va="gva")
     def walk(self, va, ctx, is_write=False):
         """Dispatch on the context's paging mode."""
         if ctx.mode == "native":

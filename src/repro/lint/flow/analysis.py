@@ -19,10 +19,9 @@ ambiguity*. An edge is produced when the callee can be pinned down:
 Anything else with an attribute receiver (``state.manager.fill_for``)
 falls back to *name matching* against every method of that name in the
 program: one candidate makes an unambiguous edge, several make an
-ambiguous one. Rules choose their tolerance — the effect checks
-(REPRO401/406) consider every candidate, the typestate passes follow
-only unambiguous edges so a common method name cannot manufacture a
-false finding.
+ambiguous one. The effect checks (REPRO401/406) consider every
+candidate: a call that *might* reach a mutator already needs
+authority.
 
 The build is memoized on the file set's content hashes: the flow rules
 all call :func:`build_program` from one engine run and share a single
@@ -30,8 +29,8 @@ analysis.
 """
 
 import ast
+import functools
 
-from repro.lint.absint import memoized
 from repro.lint.rules import _dotted_name, _import_aliases, tail_name
 
 #: Decorator tails (from ``repro.common.effects``) the analyzer recognizes.
@@ -42,7 +41,7 @@ class FunctionInfo:
     """One module-level function or method: summary + call sites."""
 
     __slots__ = ("qualname", "module", "cls", "name", "path", "lineno",
-                 "effects", "calls", "node")
+                 "effects", "calls")
 
     def __init__(self, qualname, module, cls, name, path, lineno, effects):
         self.qualname = qualname
@@ -53,10 +52,6 @@ class FunctionInfo:
         self.lineno = lineno
         self.effects = frozenset(effects)
         self.calls = []
-        #: The function's AST node, so downstream passes (the shared
-        #: interpreter in ``repro.lint.absint``) can walk the body
-        #: without re-parsing anything.
-        self.node = None
 
 
 class CallSite:
@@ -143,7 +138,6 @@ def _collect_definitions(source_file, program):
             info = FunctionInfo(qualname, module, None, node.name,
                                 source_file.path, node.lineno,
                                 _decorator_effects(node))
-            info.node = node
             program.functions[qualname] = info
             program.module_functions[(module, node.name)] = qualname
             raw.append(_RawFunction(info, node))
@@ -157,7 +151,6 @@ def _collect_definitions(source_file, program):
                 info = FunctionInfo(qualname, module, node.name, item.name,
                                     source_file.path, item.lineno,
                                     _decorator_effects(item))
-                info.node = item
                 program.functions[qualname] = info
                 methods[item.name] = qualname
                 raw.append(_RawFunction(info, item))
@@ -246,6 +239,21 @@ def _analyze_bodies(source_file, raw_functions, program):
             candidates, ambiguous = resolved
             info.calls.append(CallSite(node.lineno, node.col_offset,
                                        tuple(candidates), ambiguous))
+
+
+def memoized(analysis):
+    """Memoize ``analysis(source_files)`` on the file set's paths and
+    content hashes, so all rules of one engine run share one result."""
+    last = [None, None]
+
+    @functools.wraps(analysis)
+    def cached(source_files):
+        key = tuple((f.path, f.content_hash) for f in source_files)
+        if key != last[0]:
+            last[:] = [key, analysis(source_files)]
+        return last[1]
+
+    return cached
 
 
 @memoized

@@ -11,7 +11,6 @@ mutation of an entry funnels through :meth:`_write_entry`, so an observer
 sees the complete update stream, exactly like KVM's write-protect traps.
 """
 
-from repro.common.addrspace import returns, takes
 from repro.common.errors import SimulationError
 from repro.common.params import (
     FOUR_KB,
@@ -70,7 +69,6 @@ class PageTable:
             self.observer.node_allocated(self, node, parent)
         return node
 
-    @takes(frame="frame")
     def node_at(self, frame):
         """The :class:`PageTableNode` stored in ``frame``."""
         node = self.physmem.read(frame)
@@ -96,7 +94,6 @@ class PageTable:
             return None
         return self.node_at(pte.frame)
 
-    @takes(va="addr")
     def ensure_path(self, va, leaf_level):
         """Walk (allocating as needed) down to ``leaf_level``; return node.
 
@@ -120,7 +117,6 @@ class PageTable:
             node = child
         return node
 
-    @takes(va="addr")
     def lookup(self, va):
         """Software walk: returns (pte, level) of the mapping or (None, level).
 
@@ -137,7 +133,6 @@ class PageTable:
             node = self.node_at(pte.frame)
         raise SimulationError("unreachable walk state")  # pragma: no cover
 
-    @takes(va="addr")
     def leaf_entry(self, va, page_size=FOUR_KB):
         """The (node, index, pte) triple for ``va`` at ``page_size``.
 
@@ -152,8 +147,6 @@ class PageTable:
         index = pt_index(va, page_size.leaf_level)
         return node, index, node.get(index)
 
-    @takes(va="addr")
-    @returns("frame", None)
     def translate(self, va):
         """Frame and page shift backing ``va``, or None if unmapped."""
         pte, level = self.lookup(va)
@@ -167,7 +160,6 @@ class PageTable:
 
     # -- mutation ---------------------------------------------------------
 
-    @takes(va="addr", frame="frame")
     def map(self, va, frame, page_size=FOUR_KB, writable=True, user=True,
             accessed=False, dirty=False):
         """Install a leaf mapping va -> frame at ``page_size``."""
@@ -184,7 +176,6 @@ class PageTable:
         self._write_entry(node, pt_index(va, leaf_level), pte)
         return pte
 
-    @takes(va="addr")
     def unmap(self, va, page_size=FOUR_KB):
         """Remove the leaf mapping for ``va``; returns the old PTE or None."""
         node, index, pte = self.leaf_entry(va, page_size)
@@ -193,7 +184,6 @@ class PageTable:
         self._write_entry(node, index, None)
         return pte
 
-    @takes(va="addr")
     def set_flags(self, va, page_size=FOUR_KB, **flags):
         """Update flag fields on the leaf PTE for ``va``.
 

@@ -14,7 +14,6 @@ table node or a data-page descriptor) rather than 4096 bytes. Memory
 *references* are counted by the hardware walker, not here.
 """
 
-from repro.common.addrspace import returns, takes
 from repro.common.errors import SimulationError
 
 
@@ -61,7 +60,6 @@ class FrameAllocator:
     def available(self):
         return self.num_frames - self.allocated
 
-    @returns("frame")
     def alloc(self):
         """Allocate one frame; returns its frame number."""
         if self._free:
@@ -72,7 +70,6 @@ class FrameAllocator:
         self._next += 1
         return frame
 
-    @returns("frame")
     def alloc_contiguous(self, count):
         """Allocate ``count`` frames, naturally aligned; returns the first.
 
@@ -102,7 +99,6 @@ class FrameAllocator:
             "cannot back a %d-frame large page (%d in use)" % (count, self.allocated)
         )
 
-    @takes(frame="frame")
     def free(self, frame):
         """Return one frame to the allocator."""
         if not 0 <= frame < self._next:
@@ -121,7 +117,6 @@ class PhysicalMemory:
         self.allocator = FrameAllocator(num_frames)
         self._frames = {}
 
-    @returns("frame")
     def alloc_frame(self, contents=None):
         """Allocate a frame and optionally install its contents."""
         frame = self.allocator.alloc()
@@ -129,33 +124,27 @@ class PhysicalMemory:
             self._frames[frame] = contents
         return frame
 
-    @returns("frame")
     def alloc_data_page(self, tag=None):
         """Allocate a frame holding a fresh :class:`DataPage`."""
         return self.alloc_frame(DataPage(tag))
 
-    @returns("frame")
     def alloc_contiguous(self, count):
         """Allocate an aligned run of ``count`` empty frames."""
         return self.allocator.alloc_contiguous(count)
 
-    @takes(frame="frame")
     def free_frame(self, frame):
         """Free a frame and drop its contents."""
         self._frames.pop(frame, None)
         self.allocator.free(frame)
 
-    @takes(frame="frame")
     def install(self, frame, contents):
         """Set the contents of an already allocated frame."""
         self._frames[frame] = contents
 
-    @takes(frame="frame")
     def read(self, frame):
         """Contents of ``frame`` (None if the frame holds no object)."""
         return self._frames.get(frame)
 
-    @takes(frame="frame")
     def read_required(self, frame):
         """Contents of ``frame``; raises if nothing was installed there."""
         contents = self._frames.get(frame)

@@ -7,7 +7,6 @@ on demand — an unbacked gfn produces a host page fault (EPT violation)
 VMexit, which :class:`repro.vmm.vmm.VMM` resolves through this class.
 """
 
-from repro.common.addrspace import returns, takes, translates
 from repro.common.params import FOUR_KB
 from repro.mem.pagetable import PageTable
 
@@ -28,16 +27,11 @@ class HostPageTable:
     def _frames_per_page(self):
         return 1 << (self.page_size.shift - 12)
 
-    @translates("gfn", "hfn")
-    @takes(gfn="gfn")
-    @returns("hfn")
     def translate(self, gfn):
         """Host frame backing ``gfn`` or None."""
         translated = self.table.translate(gfn << 12)
         return translated[0] if translated is not None else None
 
-    @takes(gfn="gfn")
-    @returns("hfn", None)
     def ensure_mapped(self, gfn):
         """Back ``gfn`` (and, at large granules, its whole block).
 
@@ -56,31 +50,26 @@ class HostPageTable:
         self.table.map(gpa_base, base_hfn, self.page_size)
         return self.translate(gfn), True
 
-    @takes(gfn="gfn")
     def leaf_for_gfn(self, gfn):
         """The host leaf PTE covering ``gfn`` (None if unbacked)."""
         _node, _index, pte = self.table.leaf_entry(gfn << 12, self.page_size)
         return pte
 
-    @takes(gfn="gfn")
     def set_writable(self, gfn, writable):
         """Write-(un)protect the host mapping of ``gfn`` (host COW)."""
         return self.table.set_flags(gfn << 12, self.page_size, writable=writable)
 
-    @takes(gfn="gfn")
     def is_dirty(self, gfn):
         """Host-PT dirty bit covering ``gfn`` (False if unbacked)."""
         pte = self.leaf_for_gfn(gfn)
         return bool(pte is not None and pte.dirty)
 
-    @takes(gfn="gfn")
     def clear_dirty(self, gfn):
         """Clear the host dirty bit covering ``gfn`` (policy scan reset)."""
         pte = self.leaf_for_gfn(gfn)
         if pte is not None:
             pte.dirty = False
 
-    @takes(gfn="gfn")
     def mark_dirty(self, gfn):
         """Set the host dirty bit covering ``gfn``.
 
@@ -91,14 +80,12 @@ class HostPageTable:
         if pte is not None:
             pte.dirty = True
 
-    @takes(gfn="gfn")
     def unmap(self, gfn):
         """Remove the mapping covering ``gfn`` (ballooning / host swap)."""
         span = self._frames_per_page
         gpa_base = (gfn // span) * span << 12
         return self.table.unmap(gpa_base, self.page_size)
 
-    @returns("gfn")
     def iter_mapped_gfns(self):
         """All backed guest frame numbers, in deterministic (va) order.
 

@@ -19,7 +19,6 @@ Three decisions, exactly as the paper frames them:
 """
 
 from repro.common.effects import policy_decision
-from repro.common.timedomain import cycles
 from repro.obs.events import POLICY_PROMOTE, POLICY_TO_NESTED, POLICY_TO_SHADOW
 from repro.vmm.shadowmgr import NODE_NESTED, NODE_SHADOW
 
@@ -35,7 +34,6 @@ class WriteTriggerPolicy:
         self._windows = {}  # node gfn -> (window_start, count)
 
     @policy_decision
-    @cycles(now="guest_sim")
     def note_write(self, manager, node_gfn, now):
         """Record a mediated write; switch the subtree when triggered.
 
@@ -63,7 +61,6 @@ class SimpleReversionPolicy:
         self._last = 0
 
     @policy_decision
-    @cycles(now="guest_sim")
     def tick(self, manager, hostpt, now):
         """Returns the number of nodes reverted this tick."""
         if now - self._last < self.interval:
@@ -86,7 +83,6 @@ class DirtyBitReversionPolicy:
         self._last = 0
 
     @policy_decision
-    @cycles(now="guest_sim")
     def tick(self, manager, hostpt, now):
         if now - self._last < self.interval:
             return 0
@@ -112,7 +108,6 @@ class NoReversionPolicy:
     """Ablation baseline: once nested, always nested."""
 
     @policy_decision
-    @cycles(now="guest_sim")
     def tick(self, manager, hostpt, now):
         return 0
 
@@ -127,7 +122,6 @@ class ShortLivedPolicy:
         self.decided = False
 
     @policy_decision
-    @cycles(now="guest_sim")
     def tick(self, manager, now, miss_rate_per_kop):
         """``miss_rate_per_kop``: recent TLB misses per 1000 operations
         (the paper reads this from hardware performance counters)."""
@@ -182,7 +176,6 @@ class ProcessPolicy:
         self.pid = pid
 
     @policy_decision
-    @cycles(now="guest_sim")
     def note_write(self, manager, node_gfn, now):
         switched = self.write_trigger.note_write(manager, node_gfn, now)
         if switched:
@@ -196,7 +189,6 @@ class ProcessPolicy:
         return switched
 
     @policy_decision
-    @cycles(now="guest_sim")
     def tick(self, manager, hostpt, now, miss_rate_per_kop):
         promoted = self.short_lived.tick(manager, now, miss_rate_per_kop)
         tracer = self.tracer

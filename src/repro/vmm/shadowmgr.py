@@ -20,7 +20,6 @@ Pure shadow paging is the degenerate case: every node stays in shadow
 mode and no switching bit is ever installed.
 """
 
-from repro.common.addrspace import returns, takes
 from repro.common.effects import mutates
 from repro.common.errors import SimulationError
 from repro.common.params import LEAF_LEVEL, ROOT_LEVEL, level_shift, pt_index
@@ -53,7 +52,6 @@ class NodeMeta:
 class InvalidationSink:
     """TLB/PWC shootdown interface the manager calls into (the MMU)."""
 
-    @takes(va="gva")
     def invalidate_page(self, asid, va):
         pass
 
@@ -159,7 +157,6 @@ class ShadowManager:
 
     # -- shadow-table position arithmetic ------------------------------------
 
-    @takes(va="gva")
     def _descend(self, level, va):
         """Shadow node holding the entry at (level, va), or None."""
         node = self.spt.root
@@ -171,7 +168,6 @@ class ShadowManager:
         return node
 
     @mutates("shadow_pt")
-    @takes(va="gva")
     def _zap_position(self, level, va):
         """Clear the shadow entry at (level, va); True if one existed."""
         node = self._descend(level, va)
@@ -186,7 +182,6 @@ class ShadowManager:
     # -- shadow fills (ShadowNotPresentFault handling) -------------------------
 
     @mutates("shadow_pt")
-    @takes(va="gva")
     def fill_for(self, va):
         """Resolve a shadow not-present fault for ``va``.
 
@@ -221,7 +216,6 @@ class ShadowManager:
             gnode = self._guest_node(gpte.frame)
         raise SimulationError("fill walk fell off the guest table")  # pragma: no cover
 
-    @takes(gfn="gfn")
     def _guest_node(self, gfn):
         node = self.guest_mem.read(gfn)
         if node is None:
@@ -229,7 +223,6 @@ class ShadowManager:
         return node
 
     @mutates("shadow_pt")
-    @takes(va="gva")
     def _install_leaf(self, va, level, gpte):
         """Merge one guest leaf with the host table into the shadow table.
 
@@ -260,8 +253,6 @@ class ShadowManager:
         )
         snode.set(pt_index(va, leaf_level), spte)
 
-    @takes(va="gva")
-    @returns("gfn", None)
     def _leaf_backing_gfn(self, va, level, gpte):
         """The guest frame (and shadow leaf level) backing ``va``.
 
@@ -277,7 +268,6 @@ class ShadowManager:
         return gpte.frame, leaf_level
 
     @mutates("shadow_pt")
-    @takes(va="gva", child_gfn="gfn")
     def _install_switch(self, va, level, child_gfn):
         """Install the switching-bit entry at (level, va) -> guest node."""
         snode = self.spt.ensure_path(va, level)
@@ -290,7 +280,6 @@ class ShadowManager:
     # -- dirty-bit protocol (ShadowProtectionFault handling) ----------------------
 
     @mutates("shadow_pt")
-    @takes(va="gva")
     def protection_fix(self, va):
         """Resolve a write to a read-only shadow leaf.
 
@@ -322,7 +311,6 @@ class ShadowManager:
         self.inval.invalidate_page(self.asid, va)
         return "dirty_fixed"
 
-    @takes(va="gva")
     def _guest_leaf(self, va):
         """The guest leaf PTE and its level for ``va``, or None."""
         gnode = self._guest_node(self.root_gfn)
@@ -338,7 +326,6 @@ class ShadowManager:
     # -- agile mode transitions -------------------------------------------------
 
     @mutates("shadow_pt")
-    @takes(node_gfn="gfn")
     def switch_to_nested(self, node_gfn):
         """Move one guest PT node (and its whole subtree) to nested mode.
 
@@ -366,7 +353,6 @@ class ShadowManager:
         return True
 
     @mutates("shadow_pt")
-    @takes(node_gfn="gfn")
     def revert_to_shadow(self, node_gfn):
         """Move one node back to shadow mode (nested=>shadow).
 
@@ -397,7 +383,6 @@ class ShadowManager:
         return True
 
     @mutates("shadow_pt")
-    @takes(node_gfn="gfn")
     def _rebuild_node(self, node_gfn, meta):
         """Eagerly re-merge one guest node's entries into the shadow table.
 
@@ -448,7 +433,6 @@ class ShadowManager:
     def _gfns_top_down(self):
         return sorted(self.node_meta, key=lambda g: -self.node_meta[g].level)
 
-    @takes(node_gfn="gfn")
     def _subtree_gfns(self, node_gfn):
         """``node_gfn`` and every guest PT node beneath it."""
         result = []

@@ -16,7 +16,6 @@ the ablation benchmark reproduces exactly that comparison.
 """
 
 from repro.common.effects import policy_decision
-from repro.common.timedomain import cycles
 from repro.vmm import traps as T
 
 # Cycles to merge one guest mapping into the shadow table during a full
@@ -71,7 +70,6 @@ class SHSPController:
         self.window.pt_writes += 1
 
     @policy_decision
-    @cycles(now="guest_sim")
     def decide(self, now, resident_pages):
         """Returns the technique to use from now on (may be unchanged)."""
         if now - self._last_decision < self.interval:
@@ -98,7 +96,6 @@ class SHSPController:
         return self.technique
 
 
-@cycles("duration")
 def rebuild_cost_cycles(resident_pages):
     """The full shadow-table (re)build cost SHSP pays on each
     nested=>shadow switch."""

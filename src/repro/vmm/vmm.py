@@ -15,7 +15,6 @@ from repro.common.config import MODE_AGILE, MODE_NESTED, MODE_SHADOW, MODE_SHSP
 from repro.common.effects import policy_decision, trap_handler
 from repro.common.errors import SimulationError
 from repro.common.params import LEAF_LEVEL, ROOT_LEVEL, pt_index
-from repro.common.timedomain import advances, charges, cycles
 from repro.guest.kernel import GuestPlatform
 from repro.hw.cr3cache import CR3Cache
 from repro.hw.walkstats import TranslationContext
@@ -107,9 +106,6 @@ class VMM(GuestPlatform):
 
     # -- cost plumbing --------------------------------------------------------
 
-    @advances("guest_sim")
-    @charges("vmm_cycles")
-    @cycles(cycles="duration")
     def _trap(self, kind, cycles):
         self.traps.record(kind, cycles)
         self.clock.advance(cycles)
@@ -308,8 +304,6 @@ class VMM(GuestPlatform):
         return "retry"
 
     @trap_handler
-    @advances("guest_sim")
-    @charges("vmm_cycles")
     def handle_shadow_protection(self, proc, fault):
         """Write to a read-only shadow leaf: A/D protocol or guest COW.
 
@@ -358,8 +352,6 @@ class VMM(GuestPlatform):
         self._miss_rate_per_kop = miss_rate_per_kop
 
     @policy_decision
-    @advances("guest_sim")
-    @charges("vmm_cycles")
     def policy_tick(self):
         """Run periodic policy work for every agile process."""
         if self.mode == MODE_SHSP:
@@ -408,8 +400,6 @@ class VMM(GuestPlatform):
         return switched
 
     @policy_decision
-    @advances("guest_sim")
-    @charges("vmm_cycles")
     def _shsp_switch(self, state, technique):
         """Move one whole process between the two constituent modes."""
         manager = state.manager
@@ -431,8 +421,6 @@ class VMM(GuestPlatform):
     # -- host-level content-based page sharing (Section V) -----------------------
 
     @trap_handler
-    @advances("guest_sim")
-    @charges("vmm_cycles")
     def host_share_pages(self, gfns, cycles_per_page=200):
         """VMM-initiated page sharing: write-protect guest frames.
 

@@ -11,8 +11,6 @@ Sampling is batched through numpy for speed; iteration stays cheap.
 
 import numpy as np
 
-from repro.common.addrspace import returns
-
 
 class UniformSampler:
     """Uniform random pages: the TLB-hostile worst case."""
@@ -23,7 +21,6 @@ class UniformSampler:
         self.npages = npages
         self._rng = rng
 
-    @returns("vpn")
     def sample(self, n):
         return self._rng.integers(0, self.npages, size=n)
 
@@ -49,7 +46,6 @@ class ZipfSampler:
         self._cdf /= self._cdf[-1]
         self._mapping = rng.permutation(npages)
 
-    @returns("vpn")
     def sample(self, n):
         uniform = self._rng.random(n)
         ranks = np.searchsorted(self._cdf, uniform)
@@ -66,7 +62,6 @@ class SequentialScanner:
         self.stride = stride
         self._position = start % npages
 
-    @returns("vpn")
     def sample(self, n):
         indices = (self._position + self.stride * np.arange(n)) % self.npages
         self._position = int((self._position + self.stride * n) % self.npages)
@@ -89,7 +84,6 @@ class PointerChase:
         self._next[order] = np.roll(order, -1)
         self._position = int(order[0])
 
-    @returns("vpn")
     def sample(self, n):
         out = np.empty(n, dtype=np.int64)
         position = self._position
@@ -112,7 +106,6 @@ class MixtureSampler:
         self._cum = np.cumsum([w / total for w in weights])
         self._rng = rng
 
-    @returns("vpn")
     def sample(self, n):
         choices = np.searchsorted(self._cum, self._rng.random(n))
         out = np.empty(n, dtype=np.int64)

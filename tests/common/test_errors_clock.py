@@ -72,7 +72,7 @@ class TestClock:
 
 
 class TestVirtualClock:
-    """The two-time-base contract the REPRO70x rules typecheck."""
+    """The two-time-base contract ``Host.run`` checks at runtime."""
 
     def test_pass_through_accounting_identity(self):
         """host wall time == the sum of every view's virtual time, no

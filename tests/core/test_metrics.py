@@ -3,7 +3,6 @@
 import pytest
 
 from repro.common.params import FOUR_KB
-from repro.common.timedomain import CYCLE_COUNTERS
 from repro.core.metrics import (
     COUNTS,
     METRICS_SCHEMA_VERSION,
@@ -113,16 +112,6 @@ class TestSchemaVersion:
     def test_unknown_counter_rejected(self):
         with pytest.raises(TypeError, match="cow_faults"):
             RunMetrics("test", "agile", FOUR_KB, cow_faults=1)
-
-
-class TestCounterVocabulary:
-    def test_cycle_counters_are_the_runmetrics_cycle_fields(self):
-        """``@charges`` targets exactly the RunMetrics cycle fields: no
-        phantom counter, no cycle field outside the vocabulary. Each
-        survives the wire format (``test_round_trip_preserves_fields``)."""
-        fields = {name for name in COUNTS + TABLES
-                  if name.endswith("_cycles")}
-        assert set(CYCLE_COUNTERS) == fields
 
 
 class TestMixAndRatesSummary:

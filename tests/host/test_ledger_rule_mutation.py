@@ -1,10 +1,10 @@
 """Mutation acceptance: REPRO406 (ledger authority) is live.
 
-Same idiom as ``tests/lint/domains/test_mutations.py``: copy the
-installed package, plant one realistic commit-ledger violation, and
-prove ``repro check`` (the deep rule set) catches it. The clean-tree
-gate already proves the unmutated tree passes REPRO406 with zero
-baseline entries; these tests prove that cleanliness is earned.
+Copy the installed package, plant one realistic commit-ledger
+violation, and prove ``repro check`` (the deep rule set) catches it.
+The clean-tree gate already proves the unmutated tree passes REPRO406
+with zero baseline entries; these tests prove that cleanliness is
+earned.
 """
 
 from repro.lint import DEEP_RULES

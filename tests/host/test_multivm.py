@@ -14,8 +14,11 @@ from repro.common.config import HostConfig, sandy_bridge_config
 from repro.common.errors import SimulationError
 from repro.core.hostsys import HostSystem, run_consolidated
 from repro.core.simulator import run_workload
+from repro.host.balloon import BalloonDriver
 from repro.host.host import Host
 from repro.host.memory import HostMemoryManager, HostPressureError
+from repro.vmm.traps import BALLOON_REVOKE
+from repro.vmm.vmm import VMM
 from repro.workloads.consolidation import (
     ContextSwitchStorm,
     PackedHog,
@@ -255,3 +258,43 @@ class TestBallooning:
         # Victim-side accounting reached the per-VM counters.
         assert sum(v["balloon_frames"] for v in report["per_vm"]) \
             == report["balloon_frames"]
+        # Cycle conservation: host time is the VMs' virtual time plus
+        # the world switches, balloon episodes included.
+        assert system.clock.now == (
+            sum(vm.system.clock.now for vm in system.vms)
+            + report["world_switch_cycles"])
+
+    def test_unattributed_host_advance_fails_the_run(self, monkeypatch):
+        reclaim = BalloonDriver.reclaim
+
+        def advancing_reclaim(self, requester_vm_id, need):
+            freed = reclaim(self, requester_vm_id, need)
+            self.clock.advance(freed)
+            return freed
+
+        monkeypatch.setattr(BalloonDriver, "reclaim", advancing_reclaim)
+        system = HostSystem(
+            HostConfig(vms=2, vm_frames=VM_FRAMES, host_frames=1000),
+            machine_config=agile_config())
+        with pytest.raises(SimulationError, match="unattributed cycles"):
+            system.run([ReclaimThrasher(ops=900, seed=s, npages=768)
+                        for s in (3, 4)])
+
+    def test_uncharged_revocation_fails_the_run(self, monkeypatch):
+        # The victim's clock advances but no trap is recorded: the host
+        # identity still holds, the victim's own conservation does not.
+        trap = VMM._trap
+
+        def uncharged(self, kind, cycles):
+            if kind == BALLOON_REVOKE:
+                self.clock.advance(cycles)
+            else:
+                trap(self, kind, cycles)
+
+        monkeypatch.setattr(VMM, "_trap", uncharged)
+        system = HostSystem(
+            HostConfig(vms=2, vm_frames=VM_FRAMES, host_frames=1000),
+            machine_config=agile_config())
+        with pytest.raises(SimulationError, match="charged to no counter"):
+            system.run([ReclaimThrasher(ops=900, seed=s, npages=768)
+                        for s in (3, 4)])

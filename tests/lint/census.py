@@ -1,17 +1,19 @@
 """The lint rule census: which rules does some mutant need?
 
 Each mutant is one realistic bug planted in a copy of the ``repro``
-package by a mutation operator family (annotation swaps, stripped
-effect markers, unread config fields, injected nondeterminism, upward
+package by a mutation operator family (stripped effect markers,
+swapped translation arguments, dropped page shifts, unattributed clock
+advances, unread config fields, injected nondeterminism, upward
 imports, dropped dispatch handlers, ...). For every mutant the census
 records
 
 * the rule ids ``repro check --no-cache`` (the deep rule set) reports,
 * the first failing runtime oracle: the regression-corpus replay
   (``repro fuzz --corpus corpus/regression``), then tier-1 minus the
-  tests that call the linter, stopping at the first failure. Mutants
-  that only touch annotations skip this step: the ``repro.common``
-  decorators are runtime no-ops by design.
+  tests that call the linter, the mutated package's own tests first,
+  stopping at the first failure. Mutants that only touch annotations
+  skip this step: the ``repro.common.effects`` decorators are runtime
+  no-ops by design.
 
 A rule is *needed* by a mutant when it is the only catcher: no other
 rule fires and no runtime oracle fails. A rule no mutant needs is a
@@ -20,7 +22,7 @@ candidate for deletion. Run from the repository root::
     PYTHONPATH=src python -m tests.lint.census
 
 which rewrites the census section of ``docs/static_analysis.md``
-(about 20 minutes on 2 vCPUs; the runtime oracles run two mutants at a
+(about two hours on 2 vCPUs; the runtime oracles run two mutants at a
 time).
 """
 
@@ -47,6 +49,7 @@ BEGIN, END = "<!-- census:begin -->", "<!-- census:end -->"
 RUNTIME_TREE = ("tests", "benchmarks", "corpus", "pyproject.toml")
 #: Test order for the runtime oracle: fast unit suites first, so a
 #: caught mutant stops early; the slow sweep/CLI/claims suites last.
+#: The mutated package's own suite moves to the front (``_test_order``).
 RUNTIME_TESTS = ("tests/common", "tests/mem", "tests/hw", "tests/guest",
                  "tests/vmm", "tests/core", "tests/workloads", "tests/obs",
                  "tests/host", "tests/fuzz", "tests/integration",
@@ -58,17 +61,224 @@ WORKERS = 2
 Mutant = collections.namedtuple(
     "Mutant", "family relpath needle replacement annotation_only root")
 
-#: Address-domain swaps: one across spaces, one across units.
-SPACE_SWAP = {"gva": "gpa", "gpa": "hpa", "hpa": "gpa",
-              "vpn": "gfn", "gfn": "hfn", "hfn": "gfn"}
-UNIT_SWAP = {"gva": "vpn", "vpn": "gva", "gpa": "gfn", "gfn": "gpa",
-             "hpa": "hfn", "hfn": "hpa", "addr": "frame",
-             "frame": "addr", "offset": "addr"}
-CLOCK_SWAP = {"guest_sim": "host_wall", "vm_virtual": "host_wall",
-              "host_wall": "guest_sim", "duration": "guest_sim"}
 #: Vocabulary modules: they define the annotations, they carry none.
-ANNOTATION_FREE = ("lint/", "common/addrspace.py", "common/timedomain.py",
-                   "common/effects.py")
+ANNOTATION_FREE = ("lint/", "common/effects.py")
+
+
+#: Code mutants in the translation pipeline and its cycle accounting:
+#: ``(family, [(relpath, needle, replacement), ...])``. Each needle
+#: holds code only, no decorator line. Guest-window policies
+#: (``policies``, ``shsp``) read time only through the arguments ``vmm``
+#: passes them, so their host-time mutants sit at those call sites.
+CODE_SITES = (
+    ("call-site swap", (
+        ("hw/walker.py",
+         "self.host_walk(gfn << 12, hptr, is_write=is_write, va=va)",
+         "self.host_walk(hptr, gfn << 12, is_write=is_write, va=va)"),
+        ("hw/walker.py",
+         "self._translate_gfn(gfn_4k, hptr, is_write, va)",
+         "self._translate_gfn(hptr, gfn_4k, is_write, va)"),
+        ("hw/walker.py",
+         "self._translate_gfn(gpte.frame, hptr, False, va)",
+         "self._translate_gfn(hptr, gpte.frame, False, va)"),
+        ("hw/walker.py",
+         "self._translate_gfn(node_gfn, ctx.hptr, False, va)",
+         "self._translate_gfn(ctx.hptr, node_gfn, False, va)"),
+        ("hw/walker.py",
+         "self.nested_tlb.insert(gfn, hfn, pte.writable, pte.dirty)",
+         "self.nested_tlb.insert(hfn, gfn, pte.writable, pte.dirty)"),
+        ("hw/walker.py",
+         "node_gfn, va, level, ctx.hptr, is_write\n",
+         "ctx.hptr, va, level, node_gfn, is_write\n"),
+        ("hw/walker.py",
+         "return gpte, True, hfn, host_shift, refs + host_refs",
+         "return gpte, True, gfn_4k, host_shift, refs + host_refs"),
+        ("vmm/hostpt.py",
+         "self.table.map(gpa_base, base_hfn, self.page_size)",
+         "self.table.map(base_hfn << 12, gpa_base >> 12, self.page_size)"),
+        ("vmm/hostpt.py", "            return hfn, False\n",
+         "            return gfn, False\n"),
+        ("vmm/shadowmgr.py", "            frame=hfn,\n",
+         "            frame=gfn,\n"),
+        ("vmm/shadowmgr.py",
+         "        host_pte = self.hostpt.leaf_for_gfn(gfn)\n"
+         "        gpte.accessed = True\n",
+         "        host_pte = self.hostpt.leaf_for_gfn(hfn)\n"
+         "        gpte.accessed = True\n"),
+        ("vmm/shadowmgr.py",
+         "            self.hostpt.set_writable(gfn, True)\n        gpte.dirty",
+         "            self.hostpt.set_writable(host_pte.frame, True)\n"
+         "        gpte.dirty"),
+        ("vmm/vmm.py",
+         "            self.hostpt.set_writable(gfn, True)\n"
+         "        self._trap(T.HOST_FAULT",
+         "            self.hostpt.set_writable(hfn, True)\n"
+         "        self._trap(T.HOST_FAULT"),
+        ("vmm/vmm.py",
+         "        self.mmu.invalidate_nested_gfn(gfn)\n"
+         "        self._paranoid_after_trap(proc.pid, fault.va)\n",
+         "        self.mmu.invalidate_nested_gfn(hfn)\n"
+         "        self._paranoid_after_trap(proc.pid, fault.va)\n"),
+        ("vmm/vmm.py", "shared_hfns.add(self.hostpt.translate(gfn))",
+         "shared_hfns.add(gfn)"),
+        ("vmm/vmm.py",
+         "            self._balloon_hand = gfn\n"
+         "            self.mmu.invalidate_nested_gfn(gfn)\n",
+         "            self._balloon_hand = gfn\n"
+         "            self.mmu.invalidate_nested_gfn(pte.frame)\n"),
+        ("vmm/policies.py", "if hostpt.is_dirty(gfn):",
+         "if hostpt.is_dirty(hostpt.translate(gfn)):"),
+    )),
+    ("page shift", (
+        ("hw/walker.py", "pte.frame + ((addr >> 12) & (span_frames - 1))",
+         "pte.frame + (addr & (span_frames - 1))"),
+        ("hw/walker.py", "span_frames = 1 << (level_shift(level) - 12)",
+         "span_frames = 1 << level_shift(level)"),
+        ("hw/walker.py", "frame_4k - ((va >> 12) & ((1 << (eff_shift",
+         "frame_4k - (va & ((1 << (eff_shift"),
+        ("hw/walker.py",
+         "self.host_walk(gfn << 12, hptr, is_write=is_write, va=va)",
+         "self.host_walk(gfn, hptr, is_write=is_write, va=va)"),
+        ("hw/walker.py",
+         "self.host_walk(gfn << 12, hptr, is_write=is_write, va=va)",
+         "self.host_walk(gfn << 12 << 12, hptr, is_write=is_write, va=va)"),
+        ("vmm/hostpt.py", "translated = self.table.translate(gfn << 12)",
+         "translated = self.table.translate(gfn << 12 << 12)"),
+        ("vmm/hostpt.py", "self.table.leaf_entry(gfn << 12, self.page_size)",
+         "self.table.leaf_entry(gfn, self.page_size)"),
+        ("vmm/hostpt.py", "self.table.set_flags(gfn << 12, self.page_size",
+         "self.table.set_flags(gfn, self.page_size"),
+        ("vmm/hostpt.py",
+         "        gpa_base = (gfn // span) * span << 12\n"
+         "        return self.table.unmap(",
+         "        gpa_base = (gfn // span) * span\n"
+         "        return self.table.unmap("),
+        ("vmm/hostpt.py",
+         "        gpa_base = (gfn // span) * span << 12\n"
+         "        if span == 1:",
+         "        gpa_base = (gfn // span) * span << 12 << 12\n"
+         "        if span == 1:"),
+        ("vmm/hostpt.py", "            yield va >> 12\n",
+         "            yield va\n"),
+        ("vmm/vmm.py", "        gfn = fault.gpa >> 12\n",
+         "        gfn = fault.gpa\n"),
+        ("vmm/shadowmgr.py",
+         "((va & ((1 << level_shift(level)) - 1)) >> 12)",
+         "(va & ((1 << level_shift(level)) - 1))"),
+        ("vmm/shadowmgr.py", "return gfn_4k - ((va >> 12) & (span - 1))",
+         "return gfn_4k - (va & (span - 1))"),
+    )),
+    ("wrong table", (
+        ("hw/walker.py",
+         'node = self._node(self.guest_mem, node_gfn, "gPT")',
+         'node = self._node(self.host_mem, node_gfn, "gPT")'),
+        ("hw/walker.py",
+         'node = self._node(self.host_mem, ctx.sptr, "sPT")',
+         'node = self._node(self.host_mem, ctx.hptr, "sPT")'),
+        ("hw/walker.py", "is_write, ctx.gptr, ROOT_LEVEL,",
+         "is_write, ctx.sptr, ROOT_LEVEL,"),
+        ("hw/walker.py", "        node_gfn = ctx.gptr\n",
+         "        node_gfn = ctx.sptr\n"),
+        ("hw/walker.py",
+         'node = self._node(self.host_mem, ctx.root_frame, "PT")',
+         'node = self._node(self.guest_mem, ctx.root_frame, "PT")'),
+        ("vmm/shadowmgr.py", "node = self.guest_mem.read(gfn)",
+         "node = self.host_mem.read(gfn)"),
+        ("vmm/shadowmgr.py", "            node = self.spt.node_at(pte.frame)\n",
+         "            node = self._guest_node(pte.frame)\n"),
+        ("vmm/shadowmgr.py",
+         "            gnode = self._guest_node(gpte.frame)\n"
+         "        raise SimulationError(\"fill walk",
+         "            gnode = self.spt.node_at(gpte.frame)\n"
+         "        raise SimulationError(\"fill walk"),
+        ("vmm/shadowmgr.py",
+         "        hfn, _faulted = self.hostpt.ensure_mapped(gfn)\n",
+         "        hfn, _faulted = gfn, False\n"),
+        ("vmm/vmm.py", "            hptr=self.hostpt.root_frame,\n",
+         "            hptr=proc.gptr,\n"),
+        ("vmm/vmm.py",
+         "            ctx.mode = self._shsp_technique(state)\n"
+         "            ctx.sptr = state.manager.spt.root_frame\n",
+         "            ctx.mode = self._shsp_technique(state)\n"
+         "            ctx.sptr = self.hostpt.root_frame\n"),
+        ("vmm/vmm.py", "            pte = self.hostpt.leaf_for_gfn(gfn)\n",
+         "            pte = state.manager.spt.lookup(gfn << 12)[0]\n"),
+    )),
+    ("host time into a guest window", (
+        ("vmm/vmm.py", "state.manager, node.frame, self.clock.now)",
+         "state.manager, node.frame, self.clock.host.now)"),
+        ("vmm/vmm.py", "state.manager, node.frame, self.clock.now)",
+         "state.manager, node.frame,\n"
+         "                getattr(self.clock, \"host\", self.clock).now)"),
+        ("vmm/vmm.py", "        now = self.clock.now\n        reverted = 0\n",
+         "        now = self.clock.host.now\n        reverted = 0\n"),
+        ("vmm/vmm.py", "        now = self.clock.now\n        reverted = 0\n",
+         "        now = getattr(self.clock, \"host\", self.clock).now\n"
+         "        reverted = 0\n"),
+        ("vmm/vmm.py", "state.shsp.decide(self.clock.now,",
+         "state.shsp.decide(self.clock.host.now,"),
+        ("vmm/vmm.py", "state.shsp.decide(self.clock.now,",
+         "state.shsp.decide(getattr(self.clock, \"host\", self.clock).now,"),
+        ("vmm/vmm.py", "self.pt_write_hook(node, leaf_va, self.clock.now)",
+         "self.pt_write_hook(node, leaf_va, self.clock.host.now)"),
+        ("vmm/vmm.py", "self.pt_write_hook(node, leaf_va, self.clock.now)",
+         "self.pt_write_hook(node, leaf_va,\n"
+         "                               getattr(self.clock, \"host\", "
+         "self.clock).now)"),
+        ("vmm/vmm.py", "self.traps.attach_tracer(tracer, self.clock)",
+         "self.traps.attach_tracer(tracer, getattr(self.clock, \"host\", "
+         "self.clock))"),
+        ("core/machine.py", "        self._measurement_start = self.clock.now\n",
+         "        self._measurement_start = getattr(self.clock, \"host\", "
+         "self.clock).now\n"),
+        ("core/machine.py",
+         "total_cycles\"] = self.clock.now - self._measurement_start",
+         "total_cycles\"] = getattr(self.clock, \"host\", self.clock).now"
+         " - self._measurement_start"),
+        ("core/machine.py", "            self.mmu.clock = self.clock\n",
+         "            self.mmu.clock = getattr(self.clock, \"host\", "
+         "self.clock)\n"),
+    )),
+    ("unattributed advance", (
+        ("core/machine.py",
+         "        self.ideal_cycles += self.cost.cycles_per_op\n", ""),
+        ("core/machine.py",
+         "        self.walk_cycles += cycles\n        self.clock.advance(cycles)\n"
+         "\n", "        self.clock.advance(cycles)\n\n"),
+        ("core/machine.py",
+         "            self.tlb_l2_cycles += self.cost.cycles_tlb_l2_hit\n", ""),
+        ("core/machine.py",
+         "                self.walk_cycles += cycles\n", ""),
+        ("core/machine.py",
+         "        self.guest_fault_cycles += self.cost.guest_fault_cycles\n", ""),
+        ("core/machine.py", "    def _policy_epoch(self):\n",
+         "    def _policy_epoch(self):\n"
+         "        self.clock.advance(POLICY_EPOCH_OPS)\n"),
+        ("vmm/vmm.py", "        self.traps.record(kind, cycles)\n", ""),
+        ("vmm/vmm.py", "                self.traps.record(T.AD_ASSIST, cycles)\n",
+         ""),
+        ("vmm/vmm.py", "            self.traps.record(T.REVERT_REBUILD, cycles)\n",
+         ""),
+        ("vmm/vmm.py", "            self.traps.record(T.SHSP_REBUILD, cycles)\n",
+         ""),
+        ("vmm/vmm.py", "        self.traps.record(T.HOST_SHARE, cycles)\n", ""),
+        ("vmm/vmm.py", "        self._trap(T.BALLOON_REVOKE, cycles)\n",
+         "        self.clock.advance(cycles)\n"),
+        ("host/scheduler.py", "            self.world_switch_cycles += cycles\n",
+         ""),
+        ("host/scheduler.py",
+         "        self.world_switch(vm)\n",
+         "        self.world_switch(vm)\n        self.clock.advance(1)\n"),
+        ("host/balloon.py", "            freed_total += freed",
+         "            if self.clock is not None:\n"
+         "                self.clock.advance(freed)\n"
+         "            freed_total += freed"),
+        ("host/balloon.py", "        return freed_total\n",
+         "        if freed_total and self.clock is not None:\n"
+         "            self.clock.advance(self.config.balloon_page_cycles)\n"
+         "        return freed_total\n"),
+    )),
+)
 
 
 def _sources():
@@ -101,21 +311,6 @@ def _edit(relpath, source, index, new_lines, family, annotation_only,
                   "src")
 
 
-def _literal_swaps(relpath, source, decorator, table, family):
-    lines = source.splitlines(keepends=True)
-    for index, line in enumerate(lines):
-        if not re.match(r"\s*@%s\(" % decorator, line):
-            continue
-        for match in re.finditer(r'"(\w+)"', line):
-            for swaps in table:
-                new = swaps.get(match.group(1))
-                if new is not None:
-                    swapped = (line[:match.start(1)] + new
-                               + line[match.end(1):])
-                    yield _edit(relpath, source, index, [swapped], family,
-                                True)
-
-
 def _line_drops(relpath, source, pattern, family):
     lines = source.splitlines(keepends=True)
     for index, line in enumerate(lines):
@@ -125,18 +320,6 @@ def _line_drops(relpath, source, pattern, family):
 
 def annotation_mutants():
     for relpath, source in _sources():
-        for decorator in ("takes", "returns", "translates"):
-            yield from _literal_swaps(relpath, source, decorator,
-                                      (SPACE_SWAP, UNIT_SWAP),
-                                      "domain swap")
-        yield from _literal_swaps(relpath, source, "cycles", (CLOCK_SWAP,),
-                                  "clock swap")
-        yield from _literal_swaps(relpath, source, "advances", (CLOCK_SWAP,),
-                                  "clock swap")
-        yield from _line_drops(relpath, source, "(charges|advances)",
-                               "dropped @charges/@advances")
-        yield from _line_drops(relpath, source, "translates",
-                               "dropped @translates")
         yield from _line_drops(relpath, source,
                                "(trap_handler|policy_decision)",
                                "stripped effect marker")
@@ -280,17 +463,9 @@ def code_mutants():
                "def rogue_commit(ledger, frames):\n"
                "    ledger.committed[0] = ledger.committed.get(0, 0) + "
                "frames\n")
-    yield _src("call-site swap", "hw/walker.py",
-               "self.host_walk(gfn << 12, hptr, is_write=is_write, va=va)",
-               "self.host_walk(hptr, gfn << 12, is_write=is_write, va=va)")
-    yield _src("host time into a guest window", "vmm/vmm.py",
-               "state.manager, node.frame, self.clock.now)",
-               "state.manager, node.frame, self.clock.host.now)")
-    yield _src("unattributed advance", "host/balloon.py",
-               "            freed_total += freed",
-               "            if self.clock is not None:\n"
-               "                self.clock.advance(freed)\n"
-               "            freed_total += freed")
+    for family, sites in CODE_SITES:
+        for relpath, needle, replacement in sites:
+            yield _src(family, relpath, needle, replacement)
     # A shared default container in place of the None-then-create idiom.
     yield _src("mutable default", "obs/events.py",
                "    def __init__(self, kind, ts, dur=0, data=None):\n"
@@ -338,9 +513,14 @@ def all_mutants():
 
 
 def location(mutant):
+    """``relpath:line`` of the mutation; the needle must occur once."""
     root = REPO / "benchmarks" if mutant.root == "benchmarks" else Path(
         package_dir())
     source = (root / mutant.relpath).read_text()
+    count = source.count(mutant.needle)
+    if count != 1:
+        raise ValueError("%s needle occurs %d times in %s: %r" % (
+            mutant.family, count, mutant.relpath, mutant.needle))
     offset = source.index(mutant.needle)
     # Point at the first line the mutation changes.
     common = os.path.commonprefix([mutant.needle, mutant.replacement])
@@ -383,7 +563,17 @@ def _first_failure(output):
     return "pytest (no test id)"
 
 
-def runtime_failure(workdir, src):
+def _test_order(mutant):
+    """``RUNTIME_TESTS`` with the mutated package's own suite first."""
+    top = "bench" if mutant.root == "benchmarks" else mutant.relpath.split(
+        "/")[0]
+    own = "tests/%s" % top
+    if own not in RUNTIME_TESTS:
+        return RUNTIME_TESTS
+    return (own,) + tuple(tests for tests in RUNTIME_TESTS if tests != own)
+
+
+def runtime_failure(workdir, src, tests_order=RUNTIME_TESTS):
     """The first failing runtime oracle for a built mutant, or None."""
     for item in RUNTIME_TREE:
         if not (workdir / item).exists():
@@ -401,7 +591,7 @@ def runtime_failure(workdir, src):
         tests = subprocess.run(
             [sys.executable, "-m", "pytest", "-x", "-q", "-p",
              "no:cacheprovider", "-rfE", "--ignore-glob=*_rule_mutation.py"]
-            + list(RUNTIME_TESTS), cwd=workdir, env=env,
+            + list(tests_order), cwd=workdir, env=env,
             capture_output=True, text=True, timeout=RUNTIME_TIMEOUT_S)
     except subprocess.TimeoutExpired:
         return "timeout"
@@ -416,7 +606,8 @@ def run_census(mutants):
     The runtime verdict is the first failing oracle, None when every
     oracle passes, or "skipped" for annotation-only mutants. Linting
     runs in this process (the analyses memoize on module state, so one
-    at a time); the runtime oracles run ``WORKERS`` subprocesses.
+    at a time) while the runtime oracles run in ``WORKERS``
+    subprocesses.
     """
     scratch = Path(tempfile.mkdtemp(prefix="census-"))
 
@@ -426,22 +617,23 @@ def run_census(mutants):
 
     def oracle(index):
         workdir, _linted, src = built(index, "run")
-        verdict = runtime_failure(workdir, src)
+        verdict = runtime_failure(workdir, src, _test_order(mutants[index]))
         shutil.rmtree(workdir)
         print("mutant %d: %s" % (index + 1, verdict), file=sys.stderr)
         return index, verdict
 
     try:
-        rows = []
-        for index, mutant in enumerate(mutants):
-            workdir, linted, _src = built(index, "lint")
-            rows.append([mutant, location(mutant), lint_ids(linted),
-                         "skipped"])
-            shutil.rmtree(workdir)
         pending = [index for index, mutant in enumerate(mutants)
                    if not mutant.annotation_only]
         with ThreadPoolExecutor(max_workers=WORKERS) as pool:
-            for index, verdict in pool.map(oracle, pending):
+            verdicts = pool.map(oracle, pending)
+            rows = []
+            for index, mutant in enumerate(mutants):
+                workdir, linted, _src = built(index, "lint")
+                rows.append([mutant, location(mutant), lint_ids(linted),
+                             "skipped"])
+                shutil.rmtree(workdir)
+            for index, verdict in verdicts:
                 rows[index][3] = verdict
         return [tuple(row) for row in rows]
     finally:

@@ -12,27 +12,19 @@ import io
 import json
 import os
 
-from repro.lint.domains.rules import DOMAIN_RULES
+from repro.lint.flow.rules import FLOW_RULES
 from repro.lint.runner import load_baseline, run_lint
 
-SWAPPED = (
-    "from repro.common.addrspace import takes\n"
-    "\n"
-    "@takes(hfn=\"hfn\")\n"
-    "def host_side(hfn):\n"
-    "    return hfn\n"
-    "\n"
-    "@takes(gfn=\"gfn\")\n"
-    "def caller(gfn):\n"
-    "    return host_side(gfn)\n"
+UPWARD = (
+    "def frames():\n"
+    "    from repro.core import machine\n"
+    "    return machine\n"
 )
 
-DOUBLE_SHIFT = (
-    "from repro.common.addrspace import takes\n"
-    "\n"
-    "@takes(gfn=\"gfn\")\n"
-    "def twice(gfn):\n"
-    "    return gfn >> 12\n"
+UPWARD_AGAIN = (
+    "def pages():\n"
+    "    from repro.vmm import traps\n"
+    "    return traps\n"
 )
 
 
@@ -53,12 +45,12 @@ def _write_package(tmp_path, sources):
 def _run(package, **kwargs):
     out, err = io.StringIO(), io.StringIO()
     code = run_lint(paths=[str(package)], out=out, err=err,
-                    rules=DOMAIN_RULES, deep=True, **kwargs)
+                    rules=FLOW_RULES, deep=True, **kwargs)
     return code, out.getvalue(), err.getvalue()
 
 
 def test_write_baseline_records_current_findings(tmp_path):
-    package = _write_package(tmp_path, {"core/frames.py": SWAPPED})
+    package = _write_package(tmp_path, {"mem/frames.py": UPWARD})
     baseline = tmp_path / "baseline.json"
     code, out, err = _run(package, baseline=str(baseline),
                           write_baseline=True)
@@ -67,12 +59,12 @@ def test_write_baseline_records_current_findings(tmp_path):
     payload = json.loads(baseline.read_text())
     assert payload["schema"] == 1
     [entry] = payload["findings"]
-    assert entry["rule_id"] == "REPRO602"
-    assert entry["path"] == "repro/core/frames.py"  # checkout-relative
+    assert entry["rule_id"] == "REPRO501"
+    assert entry["path"] == "repro/mem/frames.py"  # checkout-relative
 
 
 def test_baselined_findings_are_tolerated(tmp_path):
-    package = _write_package(tmp_path, {"core/frames.py": SWAPPED})
+    package = _write_package(tmp_path, {"mem/frames.py": UPWARD})
     baseline = tmp_path / "baseline.json"
     assert _run(package, baseline=str(baseline),
                 write_baseline=True)[0] == 0
@@ -82,21 +74,22 @@ def test_baselined_findings_are_tolerated(tmp_path):
 
 
 def test_new_findings_still_fail(tmp_path):
-    package = _write_package(tmp_path, {"core/frames.py": SWAPPED})
+    package = _write_package(tmp_path, {"mem/frames.py": UPWARD})
     baseline = tmp_path / "baseline.json"
     assert _run(package, baseline=str(baseline),
                 write_baseline=True)[0] == 0
-    (package / "core" / "shift.py").write_text(DOUBLE_SHIFT)
+    (package / "mem" / "pages.py").write_text(UPWARD_AGAIN)
     code, out, _err = _run(package, fmt="json", baseline=str(baseline))
     assert code == 1
     payload = json.loads(out)
     assert payload["finding_count"] == 1
     assert payload["baselined_count"] == 1
-    assert payload["findings"][0]["rule_id"] == "REPRO604"
+    assert payload["findings"][0]["rule_id"] == "REPRO501"
+    assert payload["findings"][0]["path"].endswith("repro/mem/pages.py")
 
 
 def test_missing_baseline_is_a_usage_error(tmp_path):
-    package = _write_package(tmp_path, {"core/frames.py": SWAPPED})
+    package = _write_package(tmp_path, {"mem/frames.py": UPWARD})
     code, _out, err = _run(package,
                            baseline=str(tmp_path / "nope.json"))
     assert code == 2
@@ -104,7 +97,7 @@ def test_missing_baseline_is_a_usage_error(tmp_path):
 
 
 def test_malformed_baseline_is_a_usage_error(tmp_path):
-    package = _write_package(tmp_path, {"core/frames.py": SWAPPED})
+    package = _write_package(tmp_path, {"mem/frames.py": UPWARD})
     baseline = tmp_path / "baseline.json"
     baseline.write_text('{"schema": 99, "findings": []}\n')
     code, _out, err = _run(package, baseline=str(baseline))
@@ -113,7 +106,7 @@ def test_malformed_baseline_is_a_usage_error(tmp_path):
 
 
 def test_write_baseline_requires_baseline_path(tmp_path):
-    package = _write_package(tmp_path, {"core/frames.py": SWAPPED})
+    package = _write_package(tmp_path, {"mem/frames.py": UPWARD})
     code, _out, err = _run(package, write_baseline=True)
     assert code == 2
     assert "--write-baseline requires --baseline" in err

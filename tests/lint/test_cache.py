@@ -97,16 +97,15 @@ class TestDifferential:
 
 
 @pytest.mark.parametrize("module, rule_id", [
-    ("domains/infer.py", "REPRO602"),
-    ("time/infer.py", "REPRO701"),
-    ("absint.py", "REPRO602"),
-], ids=["domains", "time", "absint"])
+    ("flow/analysis.py", "REPRO401"),
+    ("flow/rules.py", "REPRO501"),
+], ids=["flow_analysis", "flow_rules"])
 def test_editing_an_analyzer_changes_cache_key(tmp_path, monkeypatch,
                                                module, rule_id):
     """The key folds in a recursive code fingerprint of ``repro.lint``,
-    so an edit to an analyzer — a lattice tweak, a new transfer
-    function, a change to the shared interpreter — forces a cold
-    re-analysis rather than serving findings the old code produced."""
+    so an edit to an analyzer — the call-graph build or one rule —
+    forces a cold re-analysis rather than serving findings the old code
+    produced."""
     copy = tmp_path / "lintpkg"
     shutil.copytree(cache_module._lint_package_root(), copy,
                     ignore=shutil.ignore_patterns("__pycache__"))

@@ -8,19 +8,13 @@ UIs consume it directly, so the shape (tool.driver.rules catalogue,
 import io
 import json
 
-from repro.lint.domains.rules import DOMAIN_RULES
+from repro.lint.flow.rules import FLOW_RULES
 from repro.lint.runner import run_lint
 
-SWAPPED = (
-    "from repro.common.addrspace import takes\n"
-    "\n"
-    "@takes(hfn=\"hfn\")\n"
-    "def host_side(hfn):\n"
-    "    return hfn\n"
-    "\n"
-    "@takes(gfn=\"gfn\")\n"
-    "def caller(gfn):\n"
-    "    return host_side(gfn)\n"
+UPWARD = (
+    "def frames():\n"
+    "    from repro.core import machine\n"
+    "    return machine\n"
 )
 
 
@@ -41,13 +35,13 @@ def _write_package(tmp_path, sources):
 def _sarif_run(package):
     out, err = io.StringIO(), io.StringIO()
     code = run_lint(paths=[str(package)], fmt="sarif", out=out, err=err,
-                    rules=DOMAIN_RULES, deep=True)
+                    rules=FLOW_RULES, deep=True)
     assert err.getvalue() == ""
     return code, json.loads(out.getvalue())
 
 
 def test_findings_render_as_sarif(tmp_path):
-    package = _write_package(tmp_path, {"core/frames.py": SWAPPED})
+    package = _write_package(tmp_path, {"mem/frames.py": UPWARD})
     code, payload = _sarif_run(package)
     assert code == 1
     assert payload["version"] == "2.1.0"
@@ -55,24 +49,24 @@ def test_findings_render_as_sarif(tmp_path):
     [run] = payload["runs"]
     assert run["tool"]["driver"]["name"] == "repro-lint"
     [result] = run["results"]
-    assert result["ruleId"] == "REPRO602"
+    assert result["ruleId"] == "REPRO501"
     assert result["level"] == "error"
-    assert "expects hfn, got gfn" in result["message"]["text"]
+    assert "imports `repro.core` (layer 4)" in result["message"]["text"]
     [location] = result["locations"]
     region = location["physicalLocation"]["region"]
-    assert region["startLine"] == 9
-    assert region["startColumn"] == 22  # 0-based col 21, SARIF is 1-based
+    assert region["startLine"] == 2
+    assert region["startColumn"] == 5  # 0-based col 4, SARIF is 1-based
     uri = location["physicalLocation"]["artifactLocation"]["uri"]
-    assert uri.endswith("repro/core/frames.py")
+    assert uri.endswith("repro/mem/frames.py")
 
 
 def test_rule_catalogue_covers_parse_errors_and_configured_rules(tmp_path):
-    package = _write_package(tmp_path, {"core/frames.py": SWAPPED})
+    package = _write_package(tmp_path, {"mem/frames.py": UPWARD})
     _code, payload = _sarif_run(package)
     rule_ids = {rule["id"]
                 for rule in payload["runs"][0]["tool"]["driver"]["rules"]}
     assert "REPRO001" in rule_ids  # syntax errors are reportable
-    assert {"REPRO602", "REPRO604", "REPRO605"} <= rule_ids
+    assert {rule.rule_id for rule in FLOW_RULES} <= rule_ids
 
 
 def test_clean_tree_renders_empty_results_and_exits_zero(tmp_path):

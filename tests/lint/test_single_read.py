@@ -12,14 +12,11 @@ import builtins
 import io
 import json
 
-from repro.lint.domains.rules import DOMAIN_RULES
+from repro.lint.flow.rules import FLOW_RULES
 from repro.lint.runner import run_lint
 
 SOURCES = {
     "core/one.py": (
-        "from repro.common.addrspace import takes\n"
-        "\n"
-        "@takes(gpa=\"gpa\")\n"
         "def touch(gpa):\n"
         "    return gpa\n"
     ),
@@ -67,7 +64,7 @@ def test_cold_run_reads_and_parses_each_file_once(tmp_path, monkeypatch):
 
     out = io.StringIO()
     code = run_lint(paths=[str(package)], fmt="json", out=out, err=out,
-                    rules=DOMAIN_RULES, deep=True,
+                    rules=FLOW_RULES, deep=True,
                     cache_dir=str(tmp_path / "cache"))
     assert code == 0, out.getvalue()
     checked = json.loads(out.getvalue())["checked_files"]
@@ -81,7 +78,7 @@ def test_warm_run_reads_once_for_hashing_and_never_parses(
     package = _write_package(tmp_path)
     cache_dir = str(tmp_path / "cache")
     assert run_lint(paths=[str(package)], fmt="json", out=io.StringIO(),
-                    err=io.StringIO(), rules=DOMAIN_RULES, deep=True,
+                    err=io.StringIO(), rules=FLOW_RULES, deep=True,
                     cache_dir=cache_dir) == 0
 
     parse_counts = {}
@@ -107,7 +104,7 @@ def test_warm_run_reads_once_for_hashing_and_never_parses(
 
     out = io.StringIO()
     code = run_lint(paths=[str(package)], fmt="json", out=out, err=out,
-                    rules=DOMAIN_RULES, deep=True, cache_dir=cache_dir)
+                    rules=FLOW_RULES, deep=True, cache_dir=cache_dir)
     assert code == 0, out.getvalue()
     # The warm path still hashes every file for the cache key (one read
     # each) but reconstructs the result without parsing a single AST.

@@ -21,7 +21,7 @@ def run_cli_streams(argv):
 
 
 def _bad_flag(argv):
-    """The flag whose value in ``argv`` is a non-positive count."""
+    """The flag whose value in ``argv`` is out of range."""
     return next(argv[i - 1] for i, arg in enumerate(argv)
                 if arg.lstrip("-").isdigit())
 
@@ -49,12 +49,22 @@ class TestParser:
         ["figure5", "--ops", "0"],
         ["sweep", "--workers", "0"],
         ["trace", "dedup", "--every", "0"],
+        ["fuzz", "--compare-every", "0"],
+        ["fuzz", "--check-every", "0"],
+        ["sweep", "--retries", "-1"],
+        ["fuzz", "--shrink-budget", "-1"],
+        ["sweep", "--timeout", "-1"],
+        ["fuzz", "--timeout", "0"],
+        ["fuzz", "--time-budget", "-1"],
     ], ids=lambda argv: argv[0] + _bad_flag(argv))
     def test_rejects_non_positive_counts(self, argv, capsys):
+        flag = _bad_flag(argv)
+        bound = {"--retries": ">= 0", "--shrink-budget": ">= 0",
+                 "--timeout": "> 0", "--time-budget": "> 0"}.get(flag, ">= 1")
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(argv)
         assert exc.value.code == 2
-        assert ("argument %s: must be >= 1" % _bad_flag(argv)
+        assert ("argument %s: must be %s" % (flag, bound)
                 in capsys.readouterr().err)
 
     def test_defaults(self):
