@@ -47,18 +47,3 @@ def render_figure5(results, page_size_name="4K", width=60, max_overhead=None):
         lines.append("  %s |%-*s| %5.1f%%" % (label, width, bar[:width],
                                               100 * (pw + vm)))
     return "\n".join(lines)
-
-
-def render_mode_mix(metrics_by_workload, width=50):
-    """Render Table VI's miss mix as per-workload segmented bars."""
-    symbols = {"Shadow": ".", "L4": "4", "L3": "3", "L2": "2", "L1": "1",
-               "Nested": "N"}
-    lines = ["Agile TLB-miss mix  .=shadow  4/3/2/1=switch level  N=nested"]
-    for name, metrics in metrics_by_workload.items():
-        mix = metrics.mode_mix()
-        bar = ""
-        for column, symbol in symbols.items():
-            bar += symbol * int(round(mix.get(column, 0.0) * width))
-        lines.append("  %-10s |%-*s| avg %.2f refs/miss"
-                     % (name, width, bar[:width], metrics.avg_refs_per_miss))
-    return "\n".join(lines)

@@ -128,8 +128,6 @@ class CostConfig:
 
     cycles_per_op: int = 2  # ideal cycles per simulated operation
     cycles_per_walk_ref: int = 40
-    # With the optional PTE data-cache model enabled, hits cost this:
-    cycles_per_cached_ref: int = 8
     cycles_tlb_l1_hit: int = 0
     cycles_tlb_l2_hit: int = 7
     vmtrap_base_cycles: int = 1200  # VMexit + resume
@@ -160,13 +158,6 @@ class MachineConfig:
     hw_ad_assist: bool = True
     hw_cr3_cache: bool = True
     cr3_cache_entries: int = 8
-    # Nested TLB (gPA->hPA cache) present on real hardware; disable to get
-    # the raw reference counts of Table II / Table VI.
-    nested_tlb_entries: int = 0
-    # Optional PTE data-cache model (repro.hw.ptecache): 0 disables it,
-    # in which case `cycles_per_walk_ref` stands for the *average* cost
-    # including data-cache effects (the default calibration).
-    pte_cache_lines: int = 0
     # Paranoid mode (repro.vmm.invariants): re-validate shadow/guest/TLB
     # coherence after every VMtrap and mode switch. Costs simulation
     # wall-clock time but never simulated cycles.

@@ -74,36 +74,6 @@ def pt_index(va, level):
     return (va >> level_shift(level)) & (ENTRIES_PER_NODE - 1)
 
 
-def page_number(va, page_shift=PAGE_SHIFT):
-    """Virtual (or physical) page number of ``va`` at a given granule."""
-    return va >> page_shift
-
-
-def page_offset(va, page_shift=PAGE_SHIFT):
-    """Offset of ``va`` within its page at a given granule."""
-    return va & ((1 << page_shift) - 1)
-
-
-def page_base(va, page_shift=PAGE_SHIFT):
-    """The address of the start of the page containing ``va``."""
-    return va & ~((1 << page_shift) - 1)
-
-
 def align_up(value, alignment):
     """Round ``value`` up to the next multiple of ``alignment``."""
     return (value + alignment - 1) & ~(alignment - 1)
-
-
-def is_canonical(va):
-    """True if ``va`` fits in the simulated 48-bit address space."""
-    return 0 <= va < VA_LIMIT
-
-
-def level_span(level):
-    """Bytes of virtual address space covered by one entry at ``level``."""
-    return 1 << level_shift(level)
-
-
-def walk_levels(leaf_level=LEAF_LEVEL):
-    """Levels visited by a walk, root first: 4, 3, ... down to the leaf."""
-    return range(ROOT_LEVEL, leaf_level - 1, -1)

@@ -203,12 +203,6 @@ class System(GuestPlatform):
             % (va, proc.pid, self.config.mode)
         )
 
-    def read(self, va):
-        return self.access(va, is_write=False)
-
-    def write(self, va):
-        return self.access(va, is_write=True)
-
     def _charge_refs(self, refs):
         cycles = refs * self.cost.cycles_per_walk_ref
         self.walk_cycles += cycles
@@ -222,14 +216,7 @@ class System(GuestPlatform):
             self.tlb_l2_cycles += self.cost.cycles_tlb_l2_hit
             self.clock.advance(self.cost.cycles_tlb_l2_hit)
         elif outcome.walk is not None:
-            if outcome.cached_refs:
-                uncached = outcome.walk.refs - outcome.cached_refs
-                cycles = (uncached * self.cost.cycles_per_walk_ref
-                          + outcome.cached_refs * self.cost.cycles_per_cached_ref)
-                self.walk_cycles += cycles
-                self.clock.advance(cycles)
-            else:
-                self._charge_refs(outcome.walk.refs)
+            self._charge_refs(outcome.walk.refs)
 
     def _handle_guest_fault(self, proc, va, is_write):
         self.guest_faults += 1

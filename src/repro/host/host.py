@@ -99,9 +99,6 @@ class Host:
             return config.guest_mem_frames
         return self.config.vm_frames
 
-    def vm(self, vm_id):
-        return self.vms[vm_id]
-
     def load(self, programs):
         """Install one guest program per VM (``factory(api) -> generator``)."""
         if len(programs) != len(self.vms):

@@ -7,7 +7,6 @@ and VM exits) to the caller, which models the OS/VMM handling them and
 retrying, exactly as hardware re-executes the faulting instruction.
 """
 
-from repro.hw.nested_tlb import NestedTLB
 from repro.hw.pwc import PageWalkCache
 from repro.hw.tlbhierarchy import MultiSizeTLB
 from repro.hw.walker import PageWalker
@@ -41,15 +40,12 @@ class MMUCounters:
 class TranslationOutcome:
     """What one call to :meth:`MMU.translate` did."""
 
-    __slots__ = ("frame", "hit_level", "walk", "cached_refs")
+    __slots__ = ("frame", "hit_level", "walk")
 
-    def __init__(self, frame, hit_level, walk, cached_refs=0):
+    def __init__(self, frame, hit_level, walk):
         self.frame = frame
         self.hit_level = hit_level  # 'l1', 'l2', or None (walked)
         self.walk = walk  # WalkResult or None on a TLB hit
-        # Walk references served by the PTE data cache (0 unless the
-        # optional cache model is enabled).
-        self.cached_refs = cached_refs
 
     @property
     def tlb_hit(self):
@@ -68,24 +64,17 @@ class MMU:
         sizes.add(FOUR_KB)  # broken-down entries always need a 4K array
         self.hierarchy = MultiSizeTLB(config.tlbs, sizes, primary=config.page_size)
         self.pwc = (
-            PageWalkCache(config.pwc.entries_per_table, enabled=True)
+            PageWalkCache(config.pwc.entries_per_table)
             if config.pwc.enabled
             else None
         )
-        self.nested_tlb = (
-            NestedTLB(config.nested_tlb_entries) if config.nested_tlb_entries else None
-        )
         self.host_pwc = (
-            PageWalkCache(config.pwc.entries_per_table, enabled=True)
+            PageWalkCache(config.pwc.entries_per_table)
             if config.pwc.enabled and config.virtualized
             else None
         )
-        self.walker = PageWalker(host_mem, guest_mem, self.pwc, self.nested_tlb,
+        self.walker = PageWalker(host_mem, guest_mem, self.pwc,
                                  host_pwc=self.host_pwc)
-        if config.pte_cache_lines:
-            from repro.hw.ptecache import PTECache
-
-            self.walker.pte_cache = PTECache(config.pte_cache_lines)
         self.counters = MMUCounters()
         # BadgerTrap analogue: when set, called as miss_hook(va, WalkResult)
         # after every successful page walk (i.e., every TLB miss).
@@ -114,7 +103,6 @@ class MMU:
                     tracer.tlb_hit(self.clock.now if self.clock else 0,
                                    level, ctx.asid)
                 return TranslationOutcome(entry.frame, level, None)
-        self.walker.cached_refs = 0
         try:
             result = self.walker.walk(va, ctx, is_write)
         except Exception as fault:
@@ -133,8 +121,7 @@ class MMU:
             self.miss_hook(va, result)
         self.hierarchy.fill(ctx.asid, va, result.frame, result.writable,
                             result.dirty, result.page_shift, kind)
-        return TranslationOutcome(result.frame, None, result,
-                                  cached_refs=self.walker.cached_refs)
+        return TranslationOutcome(result.frame, None, result)
 
     # -- shootdown interface used by the OS and VMM -------------------------
 
@@ -154,15 +141,7 @@ class MMU:
             self.pwc.flush()
         if self.host_pwc is not None:
             self.host_pwc.flush()
-        if self.nested_tlb is not None:
-            self.nested_tlb.flush()
-        if self.walker.pte_cache is not None:
-            self.walker.pte_cache.flush()
 
     def flush_pwc(self):
         if self.pwc is not None:
             self.pwc.flush()
-
-    def invalidate_nested_gfn(self, gfn):
-        if self.nested_tlb is not None:
-            self.nested_tlb.invalidate_gfn(gfn)

@@ -38,8 +38,7 @@ class PageWalkCache:
 
     MAX_SKIP = 3  # never skips the leaf level
 
-    def __init__(self, entries_per_table=32, enabled=True):
-        self.enabled = enabled
+    def __init__(self, entries_per_table=32):
         self.entries_per_table = entries_per_table
         # Index 1..3 used; deeper table = more levels skipped.
         self._tables = {k: OrderedDict() for k in range(1, self.MAX_SKIP + 1)}
@@ -58,8 +57,6 @@ class PageWalkCache:
         hit means the walk may begin at level ``ROOT_LEVEL - skipped``
         inside the node at ``frame``, in ``mode``.
         """
-        if not self.enabled:
-            return None
         for depth in range(self.MAX_SKIP, 0, -1):
             table = self._tables[depth]
             key = self._tag(asid, va, depth)
@@ -74,7 +71,7 @@ class PageWalkCache:
 
     def insert(self, asid, va, depth, frame, mode):
         """Cache the node reached after walking ``depth`` levels of ``va``."""
-        if not self.enabled or not 1 <= depth <= self.MAX_SKIP:
+        if not 1 <= depth <= self.MAX_SKIP:
             return
         table = self._tables[depth]
         key = self._tag(asid, va, depth)

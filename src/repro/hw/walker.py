@@ -52,7 +52,7 @@ class PageWalker:
     """The MMU's page-walk engine.
 
     ``host_mem`` holds host/native page-table nodes (and shadow nodes);
-    ``guest_mem`` holds guest page-table nodes. ``pwc`` and ``nested_tlb``
+    ``guest_mem`` holds guest page-table nodes. ``pwc`` and ``host_pwc``
     are optional acceleration structures. Setting :attr:`journal` to a
     list makes every memory reference append a ``(structure, level)``
     tuple, reproducing the chronological orders of Figures 1 and 3.
@@ -67,8 +67,7 @@ class PageWalker:
     :meth:`_probe`.
     """
 
-    def __init__(self, host_mem, guest_mem=None, pwc=None, nested_tlb=None,
-                 host_pwc=None):
+    def __init__(self, host_mem, guest_mem=None, pwc=None, host_pwc=None):
         self.host_mem = host_mem
         self.guest_mem = guest_mem
         self.pwc = pwc
@@ -76,16 +75,10 @@ class PageWalker:
         # table, keyed by gPA. Real processors cache these too, which is
         # why a mostly-warm nested walk costs ~2 references, not 5+.
         self.host_pwc = host_pwc
-        self.nested_tlb = nested_tlb
         self.journal = None
-        # Optional data-cache model for PTE reads: when set, each walk
-        # reference is classified hit/miss and `cached_refs` counts the
-        # hits of the current walk (the MMU resets it per translation).
-        self.pte_cache = None
-        self.cached_refs = 0
         # Observability: a null tracer until System.attach_observability
-        # installs one; probes of the walk-acceleration structures (PWCs,
-        # nested TLB) are emitted as `pwc` events.
+        # installs one; probes of the walk-acceleration structures (the
+        # PWCs) are emitted as `pwc` events.
         self.tracer = NULL_TRACER
         self.clock = None
 
@@ -98,11 +91,6 @@ class PageWalker:
     def _probe(self, structure, hit):
         """Trace one walk-accelerator probe (called only when tracing)."""
         self.tracer.pwc(self.clock.now if self.clock else 0, structure, hit)
-
-    def _touch(self, space, frame, index):
-        """Classify one walk reference against the PTE data cache."""
-        if self.pte_cache is not None and self.pte_cache.access(space, frame, index):
-            self.cached_refs += 1
 
     def _node(self, mem, frame, what):
         node = mem.read(frame)
@@ -135,7 +123,6 @@ class PageWalker:
         for level in range(start_level, LEAF_LEVEL - 1, -1):
             refs += 1
             self._note(structure, level)
-            self._touch("host", node.frame, pt_index(addr, level))
             pte = node.get(pt_index(addr, level))
             if pte is None or not pte.present:
                 raise HostPageFault(va if va is not None else addr, gpa=addr,
@@ -172,7 +159,6 @@ class PageWalker:
         for level in range(start_level, LEAF_LEVEL - 1, -1):
             refs += 1
             self._note("PT", level)
-            self._touch("host", node.frame, pt_index(va, level))
             pte = node.get(pt_index(va, level))
             if pte is None or not pte.present:
                 raise GuestPageFault(va, refs=refs, level=level, is_write=is_write)
@@ -208,20 +194,11 @@ class PageWalker:
     # -- Figure 2(e): one nested page-table access ---------------------------
 
     def _translate_gfn(self, gfn, hptr, is_write, va):
-        """gfn -> host 4K frame via nested TLB or a host walk.
+        """gfn -> host 4K frame via a host walk.
 
         Returns ``(hfn_4k, host_shift, refs)``.
         """
-        if self.nested_tlb is not None:
-            hit = self.nested_tlb.lookup(gfn, is_write)
-            if self.tracer.enabled:
-                self._probe("nested_tlb", hit is not None)
-            if hit is not None:
-                hfn, _writable, _dirty = hit
-                return hfn, 12, 0
-        hfn, level, pte, refs = self.host_walk(gfn << 12, hptr, is_write=is_write, va=va)
-        if self.nested_tlb is not None:
-            self.nested_tlb.insert(gfn, hfn, pte.writable, pte.dirty)
+        hfn, level, _pte, refs = self.host_walk(gfn << 12, hptr, is_write=is_write, va=va)
         return hfn, level_shift(level), refs
 
     def _nested_pt_access(self, node_gfn, va, level, hptr, is_write):
@@ -233,7 +210,6 @@ class PageWalker:
         """
         refs = 1
         self._note("gPT", level)
-        self._touch("guest", node_gfn, pt_index(va, level))
         node = self._node(self.guest_mem, node_gfn, "gPT")
         gpte = node.get(pt_index(va, level))
         if gpte is None or not gpte.present:
@@ -367,7 +343,6 @@ class PageWalker:
         for level in range(start_level, LEAF_LEVEL - 1, -1):
             refs += 1
             self._note("sPT", level)
-            self._touch("host", node.frame, pt_index(va, level))
             spte = node.get(pt_index(va, level))
             if spte is None or not spte.present:
                 raise ShadowNotPresentFault(va, refs=refs, level=level, is_write=is_write)

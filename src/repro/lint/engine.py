@@ -126,11 +126,6 @@ class SourceFile:
         self._content_hash = None
         self._module_name = None
 
-    def line_text(self, lineno):
-        if 1 <= lineno <= len(self.lines):
-            return self.lines[lineno - 1]
-        return ""
-
     @property
     def posix_path(self):
         return self.path.replace(os.sep, "/")

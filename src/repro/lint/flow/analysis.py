@@ -86,21 +86,6 @@ class Program:
         self.files_by_module = {}    # module name -> SourceFile
         self.aliases_by_module = {}  # module name -> import alias map
 
-    def reachable_from(self, roots):
-        """Qualnames reachable from ``roots`` over all candidate edges."""
-        seen = set(roots)
-        frontier = list(roots)
-        while frontier:
-            info = self.functions.get(frontier.pop())
-            if info is None:
-                continue
-            for call in info.calls:
-                for target in call.candidates:
-                    if target not in seen:
-                        seen.add(target)
-                        frontier.append(target)
-        return seen
-
 
 def _decorator_effects(node):
     """The effect markers declared on one function definition."""

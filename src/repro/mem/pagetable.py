@@ -87,13 +87,6 @@ class PageTable:
 
     # -- traversal --------------------------------------------------------
 
-    def child_node(self, node, index):
-        """The next-level node linked at ``node[index]``, or None."""
-        pte = node.get(index)
-        if pte is None or not pte.present or pte.huge:
-            return None
-        return self.node_at(pte.frame)
-
     def ensure_path(self, va, leaf_level):
         """Walk (allocating as needed) down to ``leaf_level``; return node.
 
@@ -261,7 +254,3 @@ class PageTable:
                     yield from recurse(child, va)
 
         yield from recurse(self.root, 0)
-
-    def count_mappings(self):
-        """Number of installed leaf mappings (any granule)."""
-        return sum(1 for _ in self.iter_leaves())

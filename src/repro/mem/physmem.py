@@ -145,12 +145,5 @@ class PhysicalMemory:
         """Contents of ``frame`` (None if the frame holds no object)."""
         return self._frames.get(frame)
 
-    def read_required(self, frame):
-        """Contents of ``frame``; raises if nothing was installed there."""
-        contents = self._frames.get(frame)
-        if contents is None:
-            raise SimulationError("%s: frame %d has no contents" % (self.name, frame))
-        return contents
-
     def __contains__(self, frame):
         return frame in self._frames

@@ -19,7 +19,7 @@ kind               emitted by / meaning
 ``walk``           every completed hardware page walk (= every TLB miss):
                    mode, memory references, degree of nesting, page shift
 ``tlb_hit``        an L1/L2 TLB hit (the fast path the walk events skip)
-``pwc``            a page-walk-cache / nested-TLB probe: structure + hit
+``pwc``            a guest- or host-side PWC probe: structure, hit
 ``policy``         a Section III-C policy decision: shadow→nested switch,
                    nested→shadow reversion, short-lived promotion, SHSP
                    technique switch — with the subtree level where known

@@ -58,7 +58,7 @@ class NullTracer:
         """One L1/L2 TLB hit."""
 
     def pwc(self, ts, structure, hit):
-        """One page-walk-cache / nested-TLB probe."""
+        """One page-walk-cache probe (guest- or host-side)."""
 
     def policy(self, ts, direction, pid=None, node=None, level=None,
                count=None):

@@ -49,9 +49,6 @@ class WriteTriggerPolicy:
             return manager.switch_to_nested(node_gfn)
         return False
 
-    def forget(self, node_gfn):
-        self._windows.pop(node_gfn, None)
-
 
 class SimpleReversionPolicy:
     """Nested=>shadow: revert everything every interval."""

@@ -49,19 +49,6 @@ class NodeMeta:
         )
 
 
-class InvalidationSink:
-    """TLB/PWC shootdown interface the manager calls into (the MMU)."""
-
-    def invalidate_page(self, asid, va):
-        pass
-
-    def invalidate_asid(self, asid):
-        pass
-
-    def flush_pwc(self):
-        pass
-
-
 class ShadowManager:
     """Shadow (and agile) page-table state for one guest process."""
 
@@ -73,6 +60,8 @@ class ShadowManager:
         self.guest_mem = guest_mem
         self.hostpt = hostpt
         self.page_size = page_size
+        # TLB/PWC shootdowns: the MMU (invalidate_page, invalidate_asid,
+        # flush_pwc).
         self.inval = inval
         self.agile = agile
         self.ad_assist = ad_assist

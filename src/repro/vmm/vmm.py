@@ -288,7 +288,6 @@ class VMM(GuestPlatform):
             # Existing read-only mapping: host-side COW resolution.
             self.hostpt.set_writable(gfn, True)
         self._trap(T.HOST_FAULT, self.cost.vmtrap_host_fault_cycles)
-        self.mmu.invalidate_nested_gfn(gfn)
         self._paranoid_after_trap(proc.pid, fault.va)
         return "retry"
 
@@ -442,7 +441,6 @@ class VMM(GuestPlatform):
                 continue
             self.hostpt.set_writable(gfn, False)
             shared_hfns.add(self.hostpt.translate(gfn))
-            self.mmu.invalidate_nested_gfn(gfn)
             protected += 1
         if not protected:
             return 0
@@ -527,7 +525,6 @@ class VMM(GuestPlatform):
                 revoked_hfns.add(pte.frame + offset)
             freed += span
             self._balloon_hand = gfn
-            self.mmu.invalidate_nested_gfn(gfn)
         if not revoked_hfns:
             return 0
         # Shadow tables embed host frames: drop leaves pointing at the

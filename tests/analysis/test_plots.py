@@ -1,19 +1,17 @@
 """Tests for the ASCII figure rendering."""
 
-from repro.analysis.plots import render_figure5, render_mode_mix
+from repro.analysis.plots import render_figure5
 from repro.common.params import FOUR_KB
 from repro.core.metrics import RunMetrics
-from repro.hw.walkstats import NESTED_FULL
 
 
-def fake_metrics(pw, vmm, mix=None):
+def fake_metrics(pw, vmm):
     metrics = RunMetrics("x", "agile", FOUR_KB)
     metrics.ideal_cycles = 1000
     metrics.walk_cycles = int(pw * 1000)
     metrics.vmm_cycles = int(vmm * 1000)
     metrics.tlb_misses = 10
     metrics.walk_refs = 42
-    metrics.walks_by_depth = mix or {}
     return metrics
 
 
@@ -55,12 +53,3 @@ class TestFigure5Rendering:
     def test_empty_slice(self):
         assert "no data" in render_figure5({}, page_size_name="1G")
 
-
-class TestModeMixRendering:
-    def test_segments(self):
-        metrics = fake_metrics(0, 0, mix={0: 80, 1: 15, 2: 5, 3: 0, 4: 0,
-                                          NESTED_FULL: 0})
-        text = render_mode_mix({"memcached": metrics})
-        assert "memcached" in text
-        bar_line = text.splitlines()[1]
-        assert bar_line.count(".") > bar_line.count("4") > 0

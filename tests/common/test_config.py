@@ -80,6 +80,5 @@ class TestMachineConfig:
         assert config.page_size is TWO_MB
 
     def test_overrides(self):
-        config = sandy_bridge_config(hw_ad_assist=False, nested_tlb_entries=16)
+        config = sandy_bridge_config(hw_ad_assist=False)
         assert not config.hw_ad_assist
-        assert config.nested_tlb_entries == 16

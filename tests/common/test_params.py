@@ -8,14 +8,8 @@ from repro.common.params import (
     ONE_GB,
     TWO_MB,
     align_up,
-    is_canonical,
     level_shift,
-    level_span,
-    page_base,
-    page_number,
-    page_offset,
     pt_index,
-    walk_levels,
 )
 
 
@@ -71,35 +65,7 @@ class TestPtIndex:
 
 
 class TestPageHelpers:
-    def test_page_number_and_offset_partition_va(self):
-        va = 0x1234_5678
-        assert (page_number(va) << 12) | page_offset(va) == va
-
-    def test_page_base(self):
-        assert page_base(0x1234) == 0x1000
-        assert page_base(0x1234, 21) == 0
-
-    def test_offsets_at_2m(self):
-        va = TWO_MB.bytes + 12345
-        assert page_number(va, 21) == 1
-        assert page_offset(va, 21) == 12345
-
     def test_align_up(self):
         assert align_up(1, 4096) == 4096
         assert align_up(4096, 4096) == 4096
         assert align_up(0, 4096) == 0
-
-    def test_canonical(self):
-        assert is_canonical(0)
-        assert is_canonical((1 << 48) - 1)
-        assert not is_canonical(1 << 48)
-        assert not is_canonical(-1)
-
-    def test_level_span(self):
-        assert level_span(1) == 4096
-        assert level_span(2) == TWO_MB.bytes
-        assert level_span(3) == ONE_GB.bytes
-
-    def test_walk_levels_order(self):
-        assert list(walk_levels()) == [4, 3, 2, 1]
-        assert list(walk_levels(2)) == [4, 3, 2]

@@ -2,8 +2,7 @@
 
 Uses ctx-switch-heavy scenarios to check the paper's promise directly:
 the gCR3 cache turns context-switch VMtraps into hardware hits without
-changing *any* guest-visible state, and the PTE cache accelerates walks
-equally invisibly.
+changing *any* guest-visible state.
 """
 
 import pytest
@@ -67,28 +66,3 @@ class TestCR3Cache:
         runner = _run("shadow", 1, hw_cr3_cache=True)
         assert runner.system.vmm.cr3cache is None
         assert runner.trap_counts().get(CR3_CACHE_HIT, 0) == 0
-
-
-class TestPTECache:
-    """hw/ptecache.py under the same fuzzed scenarios."""
-
-    @pytest.mark.parametrize("mode", ["native", "shadow", "agile"])
-    def test_cache_is_guest_invisible(self, mode):
-        # hw_ad_assist off for the same reason as the gCR3-cache test:
-        # the cache changes walk cycles, and the assist's lazy dirty
-        # sync is clock-scheduled.
-        cached = _run(mode, 2, pte_cache_lines=256, hw_ad_assist=False)
-        plain = _run(mode, 2, pte_cache_lines=0, hw_ad_assist=False)
-        assert cached.leaf_snapshot() == plain.leaf_snapshot()
-        assert cached.fault_counters() == plain.fault_counters()
-
-    def test_cache_sees_traffic(self):
-        runner = _run("agile", 2, pte_cache_lines=256)
-        cache = runner.system.mmu.walker.pte_cache
-        assert cache is not None
-        assert cache.stats.hits + cache.stats.misses > 0
-        assert cache.stats.hits > 0
-
-    def test_disabled_by_default(self):
-        runner = _run("agile", 2)
-        assert runner.system.mmu.walker.pte_cache is None

@@ -17,7 +17,7 @@ from repro.core.simulator import run_workload
 from repro.host.balloon import BalloonDriver
 from repro.host.host import Host
 from repro.host.memory import HostMemoryManager, HostPressureError
-from repro.vmm.traps import BALLOON_REVOKE
+from repro.vmm.traps import BALLOON_REVOKE, SHSP_REBUILD
 from repro.vmm.vmm import VMM
 from repro.workloads.consolidation import (
     ContextSwitchStorm,
@@ -207,21 +207,32 @@ class TestScheduler:
         serial = run_with_quantum(1 << 40)     # one uninterrupted slice
         assert sliced == serial
 
-    def test_consolidated_guest_metrics_match_solo(self):
-        """With VPID and no overcommit, every consolidated VM's metrics
-        (cycles included — each VM runs on its own virtual clock) equal
-        a solo run of the same workload on a reservation-sized machine."""
-        config = agile_config()
-        solo = run_workload(ContextSwitchStorm(ops=1_000, seed=7),
+    def _assert_consolidated_match_solo(self, mode, ops):
+        config = agile_config().with_mode(mode)
+        solo = run_workload(ContextSwitchStorm(ops=ops, seed=7),
                             config).to_dict()
         per_vm, _report = run_consolidated(
-            [ContextSwitchStorm(ops=1_000, seed=7) for _ in range(2)],
+            [ContextSwitchStorm(ops=ops, seed=7) for _ in range(2)],
             HostConfig(vms=2, vm_frames=VM_FRAMES, vpid=True),
             config)
         for metrics in per_vm:
             got = metrics.to_dict()
             got["label"] = solo["label"]
             assert got == solo
+        return solo
+
+    def test_consolidated_guest_metrics_match_solo(self):
+        """With VPID and no overcommit, every consolidated VM's metrics
+        (cycles included — each VM runs on its own virtual clock) equal
+        a solo run of the same workload on a reservation-sized machine."""
+        self._assert_consolidated_match_solo("agile", 1_000)
+
+    def test_consolidated_shsp_metrics_match_solo(self):
+        """The same under SHSP, whose decision epochs read the VM's
+        virtual clock: its switches land on the same ops as solo."""
+        solo = self._assert_consolidated_match_solo("shsp", 5_000)
+        # Nested=>shadow switches inside the measured window.
+        assert solo["trap_counts"].get(SHSP_REBUILD, 0) > 0
 
 
 class TestBallooning:

@@ -48,12 +48,6 @@ class TestLookupInsert:
         pwc.insert(1, VA, depth=4, frame=1, mode=PWC_SHADOW)
         assert pwc.lookup(1, VA) is None
 
-    def test_disabled_pwc_never_hits(self):
-        pwc = PageWalkCache(enabled=False)
-        pwc.insert(1, VA, depth=1, frame=100, mode=PWC_SHADOW)
-        assert pwc.lookup(1, VA) is None
-        assert pwc.stats.misses == 0  # disabled: not even counted
-
 
 class TestReplacementInvalidation:
     def test_lru_capacity(self, pwc):

@@ -1,9 +1,8 @@
-"""Walker interaction with the acceleration structures (PWC/NTLB)."""
+"""Walker interaction with the page-walk caches (guest and host PWC)."""
 
 import pytest
 
 from helpers import TwoLevelSetup, make_native_setup, native_ctx
-from repro.hw.nested_tlb import NestedTLB
 from repro.hw.pwc import PageWalkCache
 from repro.hw.walker import PageWalker
 
@@ -36,7 +35,7 @@ class TestNativeWithPWC:
 
 
 class TestNestedWithCaches:
-    def build(self, pwc=True, host_pwc=True, ntlb=0):
+    def build(self, pwc=True, host_pwc=True):
         setup = TwoLevelSetup()
         setup.map_guest(VA)
         setup.map_guest(NEIGHBOR)
@@ -44,7 +43,6 @@ class TestNestedWithCaches:
             setup.host_mem,
             setup.guest_mem,
             pwc=PageWalkCache() if pwc else None,
-            nested_tlb=NestedTLB(ntlb) if ntlb else None,
             host_pwc=PageWalkCache() if host_pwc else None,
         )
         return setup, walker
@@ -70,14 +68,6 @@ class TestNestedWithCaches:
         # 5 host-walk groups collapse to 1 ref each: 4 gPT + 5 hPT... the
         # gptr translation plus one per level: 4 guest reads + 5 host hits.
         assert second.refs == 9
-
-    def test_nested_tlb_skips_host_walks(self):
-        setup, walker = self.build(pwc=False, host_pwc=False, ntlb=64)
-        ctx = setup.nested_ctx()
-        walker.nested_walk(VA, ctx)
-        second = walker.nested_walk(VA, ctx)
-        # All host translations cached: only the 4 guest PTE reads remain.
-        assert second.refs == 4
 
     def test_agile_pwc_mode_bits(self):
         setup, walker = self.build()

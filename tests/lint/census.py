@@ -85,9 +85,6 @@ CODE_SITES = (
          "self._translate_gfn(node_gfn, ctx.hptr, False, va)",
          "self._translate_gfn(ctx.hptr, node_gfn, False, va)"),
         ("hw/walker.py",
-         "self.nested_tlb.insert(gfn, hfn, pte.writable, pte.dirty)",
-         "self.nested_tlb.insert(hfn, gfn, pte.writable, pte.dirty)"),
-        ("hw/walker.py",
          "node_gfn, va, level, ctx.hptr, is_write\n",
          "ctx.hptr, va, level, node_gfn, is_write\n"),
         ("hw/walker.py",
@@ -114,18 +111,8 @@ CODE_SITES = (
          "        self._trap(T.HOST_FAULT",
          "            self.hostpt.set_writable(hfn, True)\n"
          "        self._trap(T.HOST_FAULT"),
-        ("vmm/vmm.py",
-         "        self.mmu.invalidate_nested_gfn(gfn)\n"
-         "        self._paranoid_after_trap(proc.pid, fault.va)\n",
-         "        self.mmu.invalidate_nested_gfn(hfn)\n"
-         "        self._paranoid_after_trap(proc.pid, fault.va)\n"),
         ("vmm/vmm.py", "shared_hfns.add(self.hostpt.translate(gfn))",
          "shared_hfns.add(gfn)"),
-        ("vmm/vmm.py",
-         "            self._balloon_hand = gfn\n"
-         "            self.mmu.invalidate_nested_gfn(gfn)\n",
-         "            self._balloon_hand = gfn\n"
-         "            self.mmu.invalidate_nested_gfn(pte.frame)\n"),
         ("vmm/policies.py", "if hostpt.is_dirty(gfn):",
          "if hostpt.is_dirty(hostpt.translate(gfn)):"),
     )),
@@ -247,8 +234,6 @@ CODE_SITES = (
          "\n", "        self.clock.advance(cycles)\n\n"),
         ("core/machine.py",
          "            self.tlb_l2_cycles += self.cost.cycles_tlb_l2_hit\n", ""),
-        ("core/machine.py",
-         "                self.walk_cycles += cycles\n", ""),
         ("core/machine.py",
          "        self.guest_fault_cycles += self.cost.guest_fault_cycles\n", ""),
         ("core/machine.py", "    def _policy_epoch(self):\n",
@@ -490,7 +475,7 @@ def code_mutants():
                "                except KeyError:",
                "                except:")
     yield _src("bare except", "runner/cache.py",
-               "        except FileNotFoundError:",
+               "        except (OSError, ValueError, KeyError, TypeError):",
                "        except:")
     yield _src("bare print", "vmm/vmm.py",
                "        state = self.states[proc.pid]\n"
@@ -512,11 +497,16 @@ def all_mutants():
     return list(annotation_mutants()) + list(code_mutants())
 
 
-def location(mutant):
-    """``relpath:line`` of the mutation; the needle must occur once."""
+def source_of(mutant):
+    """The unmutated text of the file ``mutant`` edits."""
     root = REPO / "benchmarks" if mutant.root == "benchmarks" else Path(
         package_dir())
-    source = (root / mutant.relpath).read_text()
+    return (root / mutant.relpath).read_text()
+
+
+def location(mutant):
+    """``relpath:line`` of the mutation; the needle must occur once."""
+    source = source_of(mutant)
     count = source.count(mutant.needle)
     if count != 1:
         raise ValueError("%s needle occurs %d times in %s: %r" % (

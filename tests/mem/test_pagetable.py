@@ -120,11 +120,6 @@ class TestIteration:
         assert va == 0
         assert level == 2
 
-    def test_count_mappings(self, table):
-        for i in range(10):
-            table.map(i << 12, i)
-        assert table.count_mappings() == 10
-
     def test_iter_nodes_parents_first(self, table):
         table.map(0x1000, 1)
         nodes = list(table.iter_nodes())

@@ -120,8 +120,6 @@ class TestPhysicalMemory:
         mem = PhysicalMemory(16)
         frame = mem.alloc_frame()
         assert mem.read(frame) is None
-        with pytest.raises(Exception):
-            mem.read_required(frame)
 
     def test_free_clears_contents(self):
         mem = PhysicalMemory(16)

@@ -11,10 +11,12 @@ from repro.guest.process import GuestProcess
 from repro.mem.pagetable import PageTableObserver
 from repro.mem.physmem import PhysicalMemory
 from repro.vmm.hostpt import HostPageTable
-from repro.vmm.shadowmgr import NODE_NESTED, NODE_SHADOW, InvalidationSink, ShadowManager
+from repro.vmm.shadowmgr import NODE_NESTED, NODE_SHADOW, ShadowManager
 
 
-class RecordingSink(InvalidationSink):
+class RecordingSink:
+    """Stands in for the MMU's shootdown interface."""
+
     def __init__(self):
         self.pages = []
         self.asids = []

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.common.config import sandy_bridge_config
-from repro.common.errors import HostPageFault
 from repro.core.machine import System
 from repro.core.simulator import MachineAPI
 from repro.vmm import traps as T
@@ -41,22 +40,6 @@ class TestNestedMode:
         api.switch_to(second)
         api.switch_to(first)
         assert system.vmm.traps.count(T.CONTEXT_SWITCH) == 0
-
-    def test_host_fault_drops_the_gfns_nested_tlb_entry(self):
-        # An EPT-violation exit must leave no cached gfn => hfn
-        # translation behind for the gfn it resolved (INVEPT analogue),
-        # so the retried walk re-reads the host table.
-        system, api = make("nested", nested_tlb_entries=64)
-        api.spawn()
-        base = api.mmap(1 << 12)
-        api.write(base)
-        proc = system.kernel.current
-        gfn = proc.page_table.translate(base)[0]
-        nested_tlb = system.mmu.nested_tlb
-        assert nested_tlb.lookup(gfn, False) is not None
-        system.vmm.handle_host_fault(
-            proc, HostPageFault(base, gpa=gfn << 12, is_write=True))
-        assert nested_tlb.lookup(gfn, False) is None
 
     def test_walks_are_2d(self):
         system, api = make("nested", pwc=type(
