@@ -21,6 +21,8 @@ import pytest
 
 from repro.analysis import experiments
 from repro.common.params import FOUR_KB
+from repro.core.machine import System
+from repro.core.simulator import Simulator
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "goldens")
 REGEN = os.environ.get("REPRO_REGEN_GOLDENS") == "1"
@@ -77,3 +79,33 @@ def test_figure5_golden():
     data["_headline"] = {key: round(value, 6)
                          for key, value in headline.items()}
     check_golden("figure5", data)
+
+
+SETUP_DIGEST_OPS = 2_000
+
+
+def test_setup_digest_golden():
+    """Every Figure 5 cell's machine state at ``reset_counters`` and at
+    the end of its run, as :meth:`System.state_digest` hashes it.
+
+    Equal digests at the reset plus an equal op stream give equal
+    ``RunMetrics``, so this pins set-up work that the metric goldens
+    see only indirectly.
+    """
+    data = {}
+    for cell in experiments.figure5_cells(ops=SETUP_DIGEST_OPS):
+        config = cell.build_config()
+        workload = cell.build_workload(config)
+        system = System(config)
+        at_reset = []
+        reset_counters = system.reset_counters
+
+        def reset_and_digest():
+            reset_counters()
+            at_reset.append(system.state_digest())
+
+        system.reset_counters = reset_and_digest
+        Simulator(system).run(workload)
+        data["%s:%s:%s" % (cell.workload, cell.page_size, cell.mode)] = {
+            "reset": at_reset, "end": system.state_digest()}
+    check_golden("setup_digest", data)

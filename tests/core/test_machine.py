@@ -234,3 +234,38 @@ class TestMultiProcess:
         parent_frame = parent.page_table.translate(base)[0]
         child_frame = child.page_table.translate(base)[0]
         assert parent_frame != child_frame
+
+
+class TestStateDigest:
+    @pytest.mark.parametrize("mode", ALL_MODES + ("shsp",))
+    def test_digest_does_not_perturb_the_run(self, mode, monkeypatch):
+        """Taking a digest at every policy epoch leaves the metrics alone."""
+        plain = run_workload(DedupLike(ops=3_000, seed=5),
+                             sandy_bridge_config(mode=mode))
+        epoch = System._policy_epoch
+        digests = []
+
+        def digesting_epoch(self):
+            digests.append(self.state_digest())
+            epoch(self)
+
+        monkeypatch.setattr(System, "_policy_epoch", digesting_epoch)
+        probed = run_workload(DedupLike(ops=3_000, seed=5),
+                              sandy_bridge_config(mode=mode))
+        assert digests
+        assert probed.to_dict() == plain.to_dict()
+
+    def test_digest_sees_accessed_bits_and_lru_order(self):
+        system, api = build("agile")
+        proc = api.spawn()
+        base = api.mmap(2 << 12)
+        api.write(base)
+        api.write(base + 4096)
+        before = system.state_digest()
+        assert system.state_digest() == before
+        api.read(base)  # a TLB hit: only the LRU order moves
+        after_hit = system.state_digest()
+        assert after_hit != before
+        leaf, _level = proc.page_table.lookup(base)
+        leaf.accessed = not leaf.accessed
+        assert system.state_digest() != after_hit
