@@ -10,14 +10,6 @@ The VMM fills and invalidates the cache.
 from collections import OrderedDict
 
 
-class CR3CacheStats:
-    __slots__ = ("hits", "misses")
-
-    def __init__(self):
-        self.hits = 0
-        self.misses = 0
-
-
 class CR3Cache:
     """Fully associative, LRU cache of gCR3 -> sCR3 pairs."""
 
@@ -26,16 +18,12 @@ class CR3Cache:
             raise ValueError("CR3 cache needs a positive entry count")
         self.capacity = entries
         self._entries = OrderedDict()
-        self.stats = CR3CacheStats()
 
     def lookup(self, gcr3):
-        """The cached shadow root for ``gcr3`` or None (counts stats)."""
+        """The cached shadow root for ``gcr3`` or None."""
         sptr = self._entries.get(gcr3)
-        if sptr is None:
-            self.stats.misses += 1
-            return None
-        self._entries.move_to_end(gcr3)
-        self.stats.hits += 1
+        if sptr is not None:
+            self._entries.move_to_end(gcr3)
         return sptr
 
     def insert(self, gcr3, sptr):
@@ -44,6 +32,10 @@ class CR3Cache:
             self._entries.popitem(last=False)
         self._entries[gcr3] = sptr
         self._entries.move_to_end(gcr3)
+
+    def iter_entries(self):
+        """Yield ``(gcr3, sptr)`` pairs in LRU-to-MRU order, leaving it alone."""
+        return iter(self._entries.items())
 
     def invalidate(self, gcr3):
         """VMM drops a pair when the shadow root changes or dies."""

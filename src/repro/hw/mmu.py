@@ -47,10 +47,6 @@ class TranslationOutcome:
         self.hit_level = hit_level  # 'l1', 'l2', or None (walked)
         self.walk = walk  # WalkResult or None on a TLB hit
 
-    @property
-    def tlb_hit(self):
-        return self.hit_level is not None
-
 
 class MMU:
     """One core's translation hardware, configured per MachineConfig."""

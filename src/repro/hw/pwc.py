@@ -19,15 +19,6 @@ PWC_SHADOW = "shadow"  # shadow page-table node: continue in shadow mode
 PWC_GUEST = "guest"  # guest page-table node: continue in nested mode
 
 
-class PWCStats:
-    __slots__ = ("hits", "misses", "fills")
-
-    def __init__(self):
-        self.hits = 0
-        self.misses = 0
-        self.fills = 0
-
-
 class PageWalkCache:
     """Three skip tables: depth k caches the node reached after k levels.
 
@@ -42,7 +33,6 @@ class PageWalkCache:
         self.entries_per_table = entries_per_table
         # Index 1..3 used; deeper table = more levels skipped.
         self._tables = {k: OrderedDict() for k in range(1, self.MAX_SKIP + 1)}
-        self.stats = PWCStats()
 
     @staticmethod
     def _tag(asid, va, depth):
@@ -63,10 +53,8 @@ class PageWalkCache:
             hit = table.get(key)
             if hit is not None:
                 table.move_to_end(key)
-                self.stats.hits += 1
                 frame, mode = hit
                 return depth, frame, mode
-        self.stats.misses += 1
         return None
 
     def insert(self, asid, va, depth, frame, mode):
@@ -79,7 +67,13 @@ class PageWalkCache:
             table.popitem(last=False)
         table[key] = (frame, mode)
         table.move_to_end(key)
-        self.stats.fills += 1
+
+    def iter_entries(self):
+        """Yield ``(depth, (asid, tag), (frame, mode))`` per cached entry,
+        each table in LRU-to-MRU order, leaving that order alone."""
+        for depth, table in self._tables.items():
+            for key, value in table.items():
+                yield depth, key, value
 
     def invalidate_asid(self, asid):
         for table in self._tables.values():

@@ -35,28 +35,6 @@ class TLBEntry:
         )
 
 
-class TLBStats:
-    """Hit/miss/fill counters for one TLB structure."""
-
-    __slots__ = ("hits", "misses", "fills", "evictions", "invalidations")
-
-    def __init__(self):
-        self.hits = 0
-        self.misses = 0
-        self.fills = 0
-        self.evictions = 0
-        self.invalidations = 0
-
-    @property
-    def accesses(self):
-        return self.hits + self.misses
-
-    @property
-    def miss_rate(self):
-        total = self.accesses
-        return self.misses / total if total else 0.0
-
-
 class TLB:
     """One set-associative TLB for a single page size."""
 
@@ -68,24 +46,21 @@ class TLB:
         self.ways = ways
         self.num_sets = entries // ways
         self._sets = [OrderedDict() for _ in range(self.num_sets)]
-        self.stats = TLBStats()
 
     def _set_for(self, vpn):
         return self._sets[vpn % self.num_sets]
 
-    def lookup(self, asid, va, update_stats=True):
-        """The entry translating ``va`` for ``asid``, or None on a miss."""
+    def lookup(self, asid, va):
+        """The entry translating ``va`` for ``asid``, or None on a miss.
+
+        A hit becomes the set's most recently used entry.
+        """
         vpn = va >> self.page_shift
         entries = self._set_for(vpn)
         key = (asid, vpn)
         entry = entries.get(key)
-        if entry is None:
-            if update_stats:
-                self.stats.misses += 1
-            return None
-        entries.move_to_end(key)
-        if update_stats:
-            self.stats.hits += 1
+        if entry is not None:
+            entries.move_to_end(key)
         return entry
 
     def insert(self, entry):
@@ -94,17 +69,14 @@ class TLB:
         key = (entry.asid, entry.vpn)
         if key not in entries and len(entries) >= self.ways:
             entries.popitem(last=False)
-            self.stats.evictions += 1
         entries[key] = entry
         entries.move_to_end(key)
-        self.stats.fills += 1
         return entry
 
     def invalidate_page(self, asid, va):
         """Drop the entry for one page (the INVLPG analogue)."""
         vpn = va >> self.page_shift
-        if self._set_for(vpn).pop((asid, vpn), None) is not None:
-            self.stats.invalidations += 1
+        self._set_for(vpn).pop((asid, vpn), None)
 
     def invalidate_asid(self, asid):
         """Drop every entry belonging to ``asid``."""
@@ -112,22 +84,16 @@ class TLB:
             victims = [key for key in entries if key[0] == asid]
             for key in victims:
                 del entries[key]
-            self.stats.invalidations += len(victims)
 
     def flush(self):
         """Drop everything (a full TLB flush)."""
         for entries in self._sets:
-            self.stats.invalidations += len(entries)
             entries.clear()
-
-    def occupancy(self):
-        """Number of valid entries currently cached."""
-        return sum(len(entries) for entries in self._sets)
 
     # -- non-perturbing introspection (paranoid-mode invariant checks) ------
 
     def peek(self, asid, va):
-        """Like :meth:`lookup`, but touches neither stats nor LRU order.
+        """Like :meth:`lookup`, but leaves the LRU order alone.
 
         Invariant checking must observe the TLB without perturbing
         replacement decisions, or paranoid mode would change the very
@@ -137,6 +103,6 @@ class TLB:
         return self._set_for(vpn).get((asid, vpn))
 
     def iter_entries(self):
-        """Iterate every valid entry (no stats/LRU side effects)."""
+        """Iterate every valid entry, each set in LRU-to-MRU order."""
         for entries in self._sets:
             yield from entries.values()

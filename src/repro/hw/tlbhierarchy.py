@@ -89,27 +89,12 @@ class TLBHierarchy:
             yield from tlb.iter_entries()
 
     def peek(self, asid, va):
-        """First matching entry for ``va`` with no stats/LRU effects."""
+        """First matching entry for ``va``, leaving the LRU order alone."""
         for tlb in self._all():
             entry = tlb.peek(asid, va)
             if entry is not None:
                 return entry
         return None
-
-    @property
-    def hits(self):
-        return sum(t.stats.hits for t in self._all())
-
-    @property
-    def misses(self):
-        """Demand misses: probes that missed the whole hierarchy.
-
-        L1 misses that hit L2 are not full misses, so this is the L2 miss
-        count when an L2 exists (every L2 probe follows an L1 miss).
-        """
-        if self.l2 is not None:
-            return self.l2.stats.misses
-        return self.l1d.stats.misses + (self.l1i.stats.misses if self.l1i else 0)
 
 
 class MultiSizeTLB:
@@ -177,7 +162,3 @@ class MultiSizeTLB:
             if entry is not None:
                 found.append(entry)
         return found
-
-    @property
-    def misses(self):
-        return sum(h.misses for h in self.hierarchies.values())

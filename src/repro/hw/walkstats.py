@@ -13,8 +13,9 @@ class WalkResult:
     ``frame``/``page_shift`` name the final (host-)physical page;
     ``refs`` counts memory references performed, matching the paper's
     Table II arithmetic; ``nested_levels`` is the degree of nesting: 0
-    for a pure shadow (or native) walk, 1–4 for agile walks that switched,
-    and :data:`NESTED_FULL` for a complete nested walk.
+    for a 1D walk (host, native, shadow, or agile without a switch), 1–4
+    for agile walks that switched, and :data:`NESTED_FULL` for a complete
+    nested walk; ``mode`` names the walk that produced the result.
     """
 
     __slots__ = (

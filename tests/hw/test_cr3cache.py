@@ -11,8 +11,7 @@ class TestCR3Cache:
         assert cache.lookup(0x1000) is None
         cache.insert(0x1000, 0x9000)
         assert cache.lookup(0x1000) == 0x9000
-        assert cache.stats.hits == 1
-        assert cache.stats.misses == 1
+        assert list(cache.iter_entries()) == [(0x1000, 0x9000)]
 
     def test_lru_eviction_at_capacity(self):
         cache = CR3Cache(2)
@@ -23,6 +22,14 @@ class TestCR3Cache:
         assert cache.lookup(2) is None
         assert cache.lookup(1) == 10
         assert cache.lookup(3) == 30
+
+    def test_iter_entries_is_lru_order_and_leaves_it_alone(self):
+        cache = CR3Cache(4)
+        cache.insert(1, 10)
+        cache.insert(2, 20)
+        cache.lookup(1)
+        assert list(cache.iter_entries()) == [(2, 20), (1, 10)]
+        assert list(cache.iter_entries()) == [(2, 20), (1, 10)]
 
     def test_invalidate(self):
         cache = CR3Cache(4)

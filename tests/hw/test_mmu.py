@@ -24,10 +24,9 @@ class TestTranslatePath:
         table.map(VA, frame, dirty=True)
         ctx = native_ctx(table)
         first = mmu.translate(ctx, VA)
-        assert not first.tlb_hit
+        assert first.hit_level is None
         assert first.frame == frame
         second = mmu.translate(ctx, VA)
-        assert second.tlb_hit
         assert second.hit_level == "l1"
         assert mmu.counters.tlb_hits_l1 == 1
         assert mmu.counters.tlb_misses == 1
@@ -39,7 +38,7 @@ class TestTranslatePath:
         ctx = native_ctx(table)
         mmu.translate(ctx, VA, is_write=False)  # fills clean entry
         outcome = mmu.translate(ctx, VA, is_write=True)
-        assert not outcome.tlb_hit  # had to re-walk to set dirty
+        assert outcome.hit_level is None  # had to re-walk to set dirty
         assert mmu.counters.tlb_misses == 2
         pte, _ = table.lookup(VA)
         assert pte.dirty
@@ -50,7 +49,7 @@ class TestTranslatePath:
         ctx = native_ctx(table)
         mmu.translate(ctx, VA, is_write=True)
         outcome = mmu.translate(ctx, VA, is_write=True)
-        assert outcome.tlb_hit
+        assert outcome.hit_level == "l1"
 
     def test_fault_counts_partial_refs(self):
         mmu, mem, table = native_mmu()
@@ -101,7 +100,7 @@ class TestInvalidation:
         mmu.translate(ctx, VA)
         mmu.invalidate_page(ctx.asid, VA)
         outcome = mmu.translate(ctx, VA)
-        assert not outcome.tlb_hit
+        assert outcome.hit_level is None
 
     def test_flush_all(self):
         mmu, mem, table = native_mmu()
@@ -109,7 +108,7 @@ class TestInvalidation:
         ctx = native_ctx(table)
         mmu.translate(ctx, VA)
         mmu.flush_all()
-        assert not mmu.translate(ctx, VA).tlb_hit
+        assert mmu.translate(ctx, VA).hit_level is None
 
     def test_avg_refs_property(self):
         mmu, mem, table = native_mmu()

@@ -16,7 +16,7 @@ VA = (3 << 39) | (7 << 30) | (11 << 21) | (13 << 12)
 class TestLookupInsert:
     def test_empty_misses(self, pwc):
         assert pwc.lookup(1, VA) is None
-        assert pwc.stats.misses == 1
+        assert list(pwc.iter_entries()) == []
 
     def test_deepest_hit_wins(self, pwc):
         pwc.insert(1, VA, depth=1, frame=100, mode=PWC_SHADOW)
@@ -73,3 +73,14 @@ class TestReplacementInvalidation:
         pwc.insert(1, VA, depth=1, frame=100, mode=PWC_SHADOW)
         pwc.flush()
         assert pwc.lookup(1, VA) is None
+
+
+class TestIterEntries:
+    def test_lru_order_per_table_and_left_alone(self, pwc):
+        pwc.insert(1, VA, depth=2, frame=200, mode=PWC_SHADOW)
+        pwc.insert(2, VA, depth=2, frame=201, mode=PWC_GUEST)
+        pwc.lookup(1, VA)  # the asid-1 entry becomes most recent
+        entries = [(depth, key[0], value)
+                   for depth, key, value in pwc.iter_entries()]
+        assert entries == [(2, 2, (201, PWC_GUEST)), (2, 1, (200, PWC_SHADOW))]
+        assert [(d, k[0], v) for d, k, v in pwc.iter_entries()] == entries

@@ -42,8 +42,8 @@ class TestLookupFill:
 
     def test_inst_uses_itlb(self, hierarchy):
         hierarchy.fill(1, 0x1000, frame=5, writable=False, dirty=False, kind="inst")
-        assert hierarchy.l1i.occupancy() == 1
-        assert hierarchy.l1d.occupancy() == 0
+        assert len(list(hierarchy.l1i.iter_entries())) == 1
+        assert list(hierarchy.l1d.iter_entries()) == []
         entry, level = hierarchy.lookup(1, 0x1000, kind="inst")
         assert level == "l1"
 
@@ -80,11 +80,10 @@ class TestInvalidation:
 
 class TestStats:
     def test_miss_counting_uses_l2(self, hierarchy):
-        hierarchy.lookup(1, 0x1000)
-        assert hierarchy.misses == 1
+        assert hierarchy.lookup(1, 0x1000) == (None, None)
         hierarchy.fill(1, 0x1000, frame=5, writable=True, dirty=True)
-        hierarchy.lookup(1, 0x1000)
-        assert hierarchy.misses == 1
+        entry, level = hierarchy.lookup(1, 0x1000)
+        assert (entry.frame, level) == (5, "l1")
 
     def test_2m_hierarchy(self):
         hierarchy = TLBHierarchy(sandy_bridge_tlbs(), TWO_MB)
