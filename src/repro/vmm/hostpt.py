@@ -55,10 +55,6 @@ class HostPageTable:
         _node, _index, pte = self.table.leaf_entry(gfn << 12, self.page_size)
         return pte
 
-    def set_writable(self, gfn, writable):
-        """Write-(un)protect the host mapping of ``gfn`` (host COW)."""
-        return self.table.set_flags(gfn << 12, self.page_size, writable=writable)
-
     def is_dirty(self, gfn):
         """Host-PT dirty bit covering ``gfn`` (False if unbacked)."""
         pte = self.leaf_for_gfn(gfn)

@@ -287,10 +287,6 @@ class ShadowManager:
         host_pte = self.hostpt.leaf_for_gfn(gfn)
         if host_pte is None:
             return "refill"  # host mapping vanished: re-merge from scratch
-        if not host_pte.writable:
-            # Host-side COW (e.g., inter-VM page sharing): the VMM makes
-            # a private copy and write-enables the host mapping.
-            self.hostpt.set_writable(gfn, True)
         gpte.dirty = True
         spte, _level = self.spt.lookup(va)
         if spte is None or not spte.present:

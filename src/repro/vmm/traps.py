@@ -35,8 +35,6 @@ CR3_CACHE_HIT = "cr3_cache_hit"
 REVERT_REBUILD = "revert_rebuild"
 # SHSP baseline: full shadow-table rebuild on a nested=>shadow switch.
 SHSP_REBUILD = "shsp_rebuild"
-# VMM-initiated content-based page sharing (Section V): scan + protect.
-HOST_SHARE = "host_share"
 # Balloon/reclaim under host memory pressure (repro.host): the VMM
 # revokes backed frames — host-PT unmaps plus shadow invalidations —
 # charged to the victim VM, but not a guest-visible trap.

