@@ -1,6 +1,6 @@
 """Multi-VM consolidation benchmark: the VMs x modes packing grid.
 
-Each cell boots one :class:`~repro.core.hostsys.HostSystem` with N
+Each cell boots one :class:`~repro.host.host.Host` with N
 tenant guests (cycling through the consolidation family: a zipf hog, a
 context-switch storm, a reclaim thrasher) over a *fixed* physical frame
 budget, so the consolidation ratio climbs with N: at 1-2 VMs the host

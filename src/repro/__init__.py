@@ -31,10 +31,10 @@ from repro.common.config import (
     sandy_bridge_config,
 )
 from repro.common.params import FOUR_KB, ONE_GB, TWO_MB
-from repro.core.hostsys import HostSystem, run_consolidated
 from repro.core.machine import System
 from repro.core.metrics import RunMetrics
 from repro.core.simulator import MachineAPI, Simulator, run_workload
+from repro.host.host import run_consolidated
 from repro.workloads.base import Workload
 from repro.workloads.suite import SUITE, make_suite
 
@@ -55,7 +55,6 @@ __all__ = [
     "TWO_MB",
     "ONE_GB",
     "System",
-    "HostSystem",
     "run_consolidated",
     "RunMetrics",
     "MachineAPI",

@@ -490,12 +490,13 @@ def _tenants(count, ops, seed):
 
 
 def consolidation_cell(mode, vms, ops, seed):
-    """One HostSystem with ``vms`` mixed tenants over :data:`HOST_FRAMES`.
+    """One :class:`~repro.host.host.Host` with ``vms`` mixed tenants over
+    :data:`HOST_FRAMES`.
 
     Returns the mean per-VM translation overhead (page walk + VMM over
     each VM's own measured cycles) and the host's reclaim accounting.
     """
-    from repro.core.hostsys import run_consolidated
+    from repro.host.host import run_consolidated
 
     host_config = HostConfig(vms=vms, host_frames=HOST_FRAMES,
                              vm_frames=VM_FRAMES)

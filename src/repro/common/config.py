@@ -207,7 +207,7 @@ class HostConfig:
     sharing one physical machine, scheduled on one clock, with the host
     memory optionally overcommitted (``vms * vm_frames > host_frames``).
     Paired with a per-VM :class:`MachineConfig` by
-    :class:`repro.core.hostsys.HostSystem`.
+    :class:`repro.host.host.Host`.
     """
 
     # Number of guest VMs packed onto the host (the consolidation ratio).

@@ -6,13 +6,13 @@ machine: a global frame ledger with per-VM reservations and overcommit
 (:mod:`repro.host.vm`), a weighted round-robin vCPU scheduler
 (:mod:`repro.host.scheduler`), a balloon/reclaim driver
 (:mod:`repro.host.balloon`), and the :class:`Host` that assembles them
-(:mod:`repro.host.host`). The ``HostSystem`` runner façade lives in
-:mod:`repro.core.hostsys`; see ``docs/multivm.md`` for the architecture
+with :func:`run_consolidated`, the host-scale ``run_workload``
+(:mod:`repro.host.host`). See ``docs/multivm.md`` for the architecture
 and experiment guide.
 """
 
 from repro.host.balloon import BalloonDriver
-from repro.host.host import Host
+from repro.host.host import Host, run_consolidated
 from repro.host.memory import HostMemoryManager, HostPressureError, MeteredMemory
 from repro.host.scheduler import VCpuScheduler
 from repro.host.vm import VirtualMachine, VMachineAPI
@@ -26,4 +26,5 @@ __all__ = [
     "VCpuScheduler",
     "VirtualMachine",
     "VMachineAPI",
+    "run_consolidated",
 ]

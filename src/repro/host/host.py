@@ -153,3 +153,33 @@ class Host:
                 for vm in self.vms
             ],
         }
+
+
+def run_consolidated(workloads, host_config=None, machine_config=None,
+                     configs=None, tracer=None):
+    """Run one workload per VM on a fresh :class:`Host` to completion.
+
+    The host-scale :func:`repro.core.simulator.run_workload`: returns
+    ``(per_vm_metrics, host_report)``. Each workload must be steppable,
+    exposing ``program(api)`` — a generator factory that yields at
+    preemption-safe points, as the :mod:`repro.workloads.consolidation`
+    family does::
+
+        from repro import HostConfig, run_consolidated, sandy_bridge_config
+        from repro.workloads.consolidation import PackedHog
+
+        per_vm, report = run_consolidated(
+            [PackedHog(ops=5_000, seed=s) for s in (1, 2)],
+            HostConfig(vms=2),
+            sandy_bridge_config(mode="agile"))
+
+    When ``host_config`` is omitted, one is derived with ``vms`` set to
+    the number of workloads.
+    """
+    if host_config is None:
+        host_config = HostConfig(vms=len(workloads))
+    host = Host(host_config=host_config, machine_config=machine_config,
+                configs=configs, tracer=tracer)
+    host.load([workload.program for workload in workloads])
+    host.run()
+    return host.collect_metrics(), host.host_report()

@@ -8,9 +8,7 @@ strictly downward:
 
 ``repro.host`` (the multi-VM consolidation subsystem) shares layer 4
 with ``core``: a Host assembles N per-VM machines exactly the way
-``System`` assembles one, and ``core.hostsys`` re-exports it as the
-``HostSystem`` runner, so the two packages legitimately import each
-other sideways.
+``System`` assembles one, so ``host`` imports ``core`` sideways.
 
 Two deliberate inversions are declared rather than discovered:
 ``repro.obs.tracer`` and ``repro.obs.events`` sit at layer 0 even

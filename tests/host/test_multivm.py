@@ -12,10 +12,9 @@ import pytest
 
 from repro.common.config import HostConfig, sandy_bridge_config
 from repro.common.errors import SimulationError
-from repro.core.hostsys import HostSystem, run_consolidated
 from repro.core.simulator import run_workload
 from repro.host.balloon import BalloonDriver
-from repro.host.host import Host
+from repro.host.host import Host, run_consolidated
 from repro.host.memory import HostMemoryManager, HostPressureError
 from repro.vmm.traps import BALLOON_REVOKE, SHSP_REBUILD
 from repro.vmm.vmm import VMM
@@ -31,6 +30,14 @@ VM_FRAMES = 4096
 def agile_config(**overrides):
     overrides.setdefault("host_mem_frames", VM_FRAMES)
     return sandy_bridge_config(mode="agile", **overrides)
+
+
+def run_thrashers_overcommitted():
+    """Two reclaim thrashers whose footprints exceed 1,000 host frames."""
+    return run_consolidated(
+        [ReclaimThrasher(ops=900, seed=s, npages=768) for s in (3, 4)],
+        HostConfig(vms=2, vm_frames=VM_FRAMES, host_frames=1000),
+        agile_config())
 
 
 class TestHostConfig:
@@ -180,6 +187,15 @@ class TestScheduler:
         assert host.clock.now == (light.cpu_cycles + heavy.cpu_cycles
                                   + host.scheduler.world_switch_cycles)
 
+    @pytest.mark.parametrize("mode", ["nested", "shadow", "agile"])
+    def test_two_vms_finish_every_op_across_world_switches(self, mode):
+        per_vm, report = run_consolidated(
+            [ContextSwitchStorm(ops=600, seed=7 + i) for i in range(2)],
+            HostConfig(vms=2, vm_frames=VM_FRAMES),
+            sandy_bridge_config(mode=mode, host_mem_frames=VM_FRAMES))
+        assert [m.ops for m in per_vm] == [600, 600]
+        assert report["world_switches"] > 0
+
     def test_consolidated_run_is_deterministic(self):
         def once():
             per_vm, report = run_consolidated(
@@ -237,11 +253,9 @@ class TestScheduler:
 
 class TestBallooning:
     def test_no_overcommit_never_balloons(self):
-        system = HostSystem(HostConfig(vms=2, vm_frames=VM_FRAMES),
-                            machine_config=agile_config())
-        system.run([PackedHog(ops=800, seed=s, npages=256)
-                    for s in (1, 2)])
-        report = system.host_report()
+        _per_vm, report = run_consolidated(
+            [PackedHog(ops=800, seed=s, npages=256) for s in (1, 2)],
+            HostConfig(vms=2, vm_frames=VM_FRAMES), agile_config())
         assert report["balloon_episodes"] == 0
         assert report["balloon_frames"] == 0
 
@@ -251,13 +265,14 @@ class TestBallooning:
         # stay at or under the commit limit throughout, and ballooning
         # must actually have fired.
         host_frames = 1000
-        system = HostSystem(
-            HostConfig(vms=2, vm_frames=VM_FRAMES,
-                       host_frames=host_frames),
-            machine_config=agile_config())
-        per_vm = system.run([ReclaimThrasher(ops=900, seed=s, npages=768)
-                             for s in (3, 4)])
-        report = system.host_report()
+        host = Host(HostConfig(vms=2, vm_frames=VM_FRAMES,
+                               host_frames=host_frames),
+                    machine_config=agile_config())
+        host.load([ReclaimThrasher(ops=900, seed=s, npages=768).program
+                   for s in (3, 4)])
+        host.run()
+        per_vm = host.collect_metrics()
+        report = host.host_report()
         assert report["overcommit_ratio"] > 1.0
         assert report["balloon_episodes"] > 0
         assert report["balloon_frames"] > 0
@@ -271,8 +286,8 @@ class TestBallooning:
             == report["balloon_frames"]
         # Cycle conservation: host time is the VMs' virtual time plus
         # the world switches, balloon episodes included.
-        assert system.clock.now == (
-            sum(vm.system.clock.now for vm in system.vms)
+        assert host.clock.now == (
+            sum(vm.system.clock.now for vm in host.vms)
             + report["world_switch_cycles"])
 
     def test_unattributed_host_advance_fails_the_run(self, monkeypatch):
@@ -284,12 +299,8 @@ class TestBallooning:
             return freed
 
         monkeypatch.setattr(BalloonDriver, "reclaim", advancing_reclaim)
-        system = HostSystem(
-            HostConfig(vms=2, vm_frames=VM_FRAMES, host_frames=1000),
-            machine_config=agile_config())
         with pytest.raises(SimulationError, match="unattributed cycles"):
-            system.run([ReclaimThrasher(ops=900, seed=s, npages=768)
-                        for s in (3, 4)])
+            run_thrashers_overcommitted()
 
     def test_uncharged_revocation_fails_the_run(self, monkeypatch):
         # The victim's clock advances but no trap is recorded: the host
@@ -303,9 +314,5 @@ class TestBallooning:
                 trap(self, kind, cycles)
 
         monkeypatch.setattr(VMM, "_trap", uncharged)
-        system = HostSystem(
-            HostConfig(vms=2, vm_frames=VM_FRAMES, host_frames=1000),
-            machine_config=agile_config())
         with pytest.raises(SimulationError, match="charged to no counter"):
-            system.run([ReclaimThrasher(ops=900, seed=s, npages=768)
-                        for s in (3, 4)])
+            run_thrashers_overcommitted()
