@@ -133,7 +133,7 @@ def cmd_compare(args, out, _err):
 
     cls = _workload_classes()[args.workload]
     rows = []
-    for mode in args.modes.split(","):
+    for mode in args.modes:
         run_args = argparse.Namespace(**{**vars(args), "mode": mode})
         config = _build_config(run_args)
         metrics = Simulator(System(config)).run(
@@ -150,7 +150,7 @@ def cmd_figure5(args, out, _err):
     from repro.analysis.plots import render_figure5
     from repro.analysis.tables import figure5_rows, format_table
 
-    names = set(args.workloads.split(",")) if args.workloads else None
+    names = set(args.workloads) if args.workloads else None
     results = figure5(ops=args.ops, workload_names=names)
     print(format_table(("Workload", "Config", "Page walk", "VMM", "Total"),
                        figure5_rows(results), title="Figure 5"), file=out)
@@ -169,7 +169,7 @@ def cmd_table6(args, out, _err):
     from repro.analysis.experiments import table6
     from repro.analysis.tables import format_table, table6_rows
 
-    names = set(args.workloads.split(",")) if args.workloads else None
+    names = set(args.workloads) if args.workloads else None
     results = table6(ops=args.ops, workload_names=names)
     print(format_table(
         ("Workload", "Shadow", "L4", "L3", "L2", "L1", "Nested", "Avg refs"),
@@ -214,26 +214,7 @@ def cmd_sweep(args, out, err):
     from repro.analysis.tables import format_table
     from repro.runner import CellSpec, ResultCache, SweepRunner, parse_shard
 
-    classes = _workload_classes()
-    if args.workloads in (None, "", "all"):
-        names = sorted(classes)
-    else:
-        names = args.workloads.split(",")
-        unknown = [n for n in names if n not in classes]
-        if unknown:
-            print("unknown workload(s): %s" % ", ".join(unknown), file=err)
-            return 2
-    modes = args.modes.split(",")
-    bad_modes = [m for m in modes if m not in EXTENDED_MODES]
-    if bad_modes:
-        print("unknown mode(s): %s" % ", ".join(bad_modes), file=err)
-        return 2
-    page_sizes = args.page_sizes.split(",")
-    bad_sizes = [p for p in page_sizes if p not in PAGE_SIZES]
-    if bad_sizes:
-        print("unknown page size(s): %s" % ", ".join(bad_sizes), file=err)
-        return 2
-
+    names = args.workloads or sorted(_workload_classes())
     overrides = {}
     if args.no_pwc:
         overrides["pwc.enabled"] = False
@@ -248,8 +229,8 @@ def cmd_sweep(args, out, err):
         CellSpec.make(name, mode=mode, page_size=page_size, ops=args.ops,
                       seed=args.seed, overrides=overrides or None)
         for name in names
-        for page_size in page_sizes
-        for mode in modes
+        for page_size in args.page_sizes
+        for mode in args.modes
     ]
 
     try:
@@ -313,8 +294,7 @@ def cmd_policy_sweep(args, out, _err):
 
     cls = _workload_classes()[args.workload]
     rows = []
-    for raw in args.values.split(","):
-        value = int(raw)
+    for value in args.values:
         config = sandy_bridge_config(mode=MODE_AGILE)
         config = replace(config, policy=replace(config.policy,
                                                 **{args.param: value}))
@@ -665,6 +645,36 @@ _non_negative_int = _at_least(int, 0)
 _positive_float = _at_least(float, 0, strict=True)
 
 
+def _one_of(names, what):
+    """argparse item type: one of ``names``, else "unknown ``what``"."""
+    def convert(text):
+        if text not in names:
+            raise argparse.ArgumentTypeError(
+                "unknown %s %r (choose from %s)"
+                % (what, text, ", ".join(sorted(names))))
+        return text
+    return convert
+
+
+def _comma_list(item, all_word=None):
+    """argparse type: a comma-separated list, each part checked by ``item``.
+
+    ``all_word`` (e.g. ``"all"``) parses to the empty list, which the
+    commands read as "every name".
+    """
+    def convert(text):
+        if text == all_word:
+            return []
+        return [item(part) for part in text.split(",")]
+    return convert
+
+
+_workload_list = _comma_list(_one_of(_workload_classes(), "workload"), "all")
+_mode_list = _comma_list(_one_of(EXTENDED_MODES, "mode"))
+_page_size_list = _comma_list(_one_of(PAGE_SIZES, "page size"))
+_positive_int_list = _comma_list(_positive_int)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -696,29 +706,31 @@ def build_parser():
     compare_parser = sub.add_parser("compare", help="one workload, every mode")
     add_common(compare_parser, with_mode=False)
     compare_parser.add_argument(
-        "--modes", default="native,nested,shadow,shsp,agile")
+        "--modes", type=_mode_list, default="native,nested,shadow,shsp,agile")
 
     fig5_parser = sub.add_parser("figure5", help="the Figure 5 grid")
     fig5_parser.add_argument("--ops", type=_positive_int, default=60_000)
-    fig5_parser.add_argument("--workloads", default=None,
+    fig5_parser.add_argument("--workloads", type=_workload_list, default=None,
                              help="comma-separated subset")
     fig5_parser.add_argument("--chart", action="store_true",
                              help="render ASCII stacked bars too")
 
     t6_parser = sub.add_parser("table6", help="Table VI miss mix")
     t6_parser.add_argument("--ops", type=_positive_int, default=60_000)
-    t6_parser.add_argument("--workloads", default=None)
+    t6_parser.add_argument("--workloads", type=_workload_list, default=None,
+                           help="comma-separated subset")
 
     sub.add_parser("tables", help="Tables I/II/III")
 
     sweep_parser = sub.add_parser(
         "sweep", help="run an experiment grid through the parallel runner")
     sweep_parser.add_argument(
-        "--workloads", default="all",
+        "--workloads", type=_workload_list, default="all",
         help="comma-separated workload names, or 'all' (default)")
-    sweep_parser.add_argument("--modes", default="native,nested,shadow,agile",
+    sweep_parser.add_argument("--modes", type=_mode_list,
+                              default="native,nested,shadow,agile",
                               help="comma-separated paging modes")
-    sweep_parser.add_argument("--page-sizes", default="4K",
+    sweep_parser.add_argument("--page-sizes", type=_page_size_list, default="4K",
                               help="comma-separated page sizes (4K,2M,1G)")
     sweep_parser.add_argument("--ops", type=_positive_int, default=20_000)
     sweep_parser.add_argument("--seed", type=int, default=None,
@@ -795,7 +807,8 @@ def build_parser():
     psweep_parser.add_argument("--param", default="write_threshold",
                                choices=("write_threshold", "write_interval",
                                         "revert_interval"))
-    psweep_parser.add_argument("--values", default="1,2,4,8")
+    psweep_parser.add_argument("--values", type=_positive_int_list,
+                               default="1,2,4,8")
 
     fuzz_parser = sub.add_parser(
         "fuzz", help="differential fuzzing: cross-mode equivalence oracle")

@@ -67,6 +67,31 @@ class TestParser:
         assert ("argument %s: must be %s" % (flag, bound)
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("argv, message", [
+        (["figure5", "--workloads", "bogus"], "unknown workload 'bogus'"),
+        (["table6", "--workloads", "nope"], "unknown workload 'nope'"),
+        (["compare", "--modes", "agile,bogus"], "unknown mode 'bogus'"),
+        (["sweep", "--page-sizes", "4K,8K"], "unknown page size '8K'"),
+        (["policy-sweep", "--values", "1,x"], "invalid int value: 'x'"),
+        (["policy-sweep", "--values", "0"], "must be >= 1, got 0"),
+    ], ids=["figure5-workloads", "table6-workloads", "compare-modes",
+            "sweep-page-sizes", "policy-sweep-values-x", "policy-sweep-values-0"])
+    def test_rejects_bad_list_items(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument %s: %s" % (argv[1], message) in err
+
+    def test_list_arguments_parse_to_lists(self):
+        args = build_parser().parse_args(
+            ["sweep", "--modes", "nested,agile", "--page-sizes", "4K,2M"])
+        assert args.workloads == []  # the default "all"
+        assert (args.modes, args.page_sizes) == (["nested", "agile"],
+                                                 ["4K", "2M"])
+        assert build_parser().parse_args(
+            ["policy-sweep", "--values", "3,5"]).values == [3, 5]
+
     def test_defaults(self):
         args = build_parser().parse_args(["run"])
         assert args.workload == "mcf"
@@ -229,16 +254,14 @@ class TestSweepCommand:
         assert payload["events"]
         assert payload["intervals"]
 
-    def test_rejects_unknown_names(self, tmp_path):
-        code, _out, text = run_cli_streams(
-            ["sweep", "--workloads", "doom", "--no-cache"])
-        assert code == 2 and "unknown workload" in text
-        code, _out, text = run_cli_streams(
-            ["sweep", "--modes", "paravirt", "--no-cache"])
-        assert code == 2 and "unknown mode" in text
-        code, _out, text = run_cli_streams(
-            ["sweep", "--page-sizes", "8K", "--no-cache"])
-        assert code == 2 and "unknown page size" in text
+    def test_rejects_unknown_names(self, tmp_path, capsys):
+        for flag, value, what in (("--workloads", "doom", "workload"),
+                                  ("--modes", "paravirt", "mode"),
+                                  ("--page-sizes", "8K", "page size")):
+            with pytest.raises(SystemExit) as exc:
+                run_cli_streams(["sweep", flag, value, "--no-cache"])
+            assert exc.value.code == 2
+            assert "unknown %s %r" % (what, value) in capsys.readouterr().err
         code, _out, text = run_cli_streams(
             ["sweep", "--shard", "2/2", "--no-cache"])
         assert code == 2 and "shard" in text
