@@ -403,16 +403,6 @@ def cmd_fuzz(args, out, err):
     )
     from repro.runner import parse_shard
 
-    modes = args.modes.split(",")
-    bad_modes = [m for m in modes if m not in EXTENDED_MODES]
-    if bad_modes:
-        print("unknown mode(s): %s" % ", ".join(bad_modes), file=err)
-        return 2
-    page_sizes = args.page_sizes.split(",")
-    bad_sizes = [p for p in page_sizes if p not in PAGE_SIZES]
-    if bad_sizes:
-        print("unknown page size(s): %s" % ", ".join(bad_sizes), file=err)
-        return 2
     try:
         shard = parse_shard(args.shard) if args.shard else None
     except ValueError as exc:
@@ -472,7 +462,8 @@ def cmd_fuzz(args, out, err):
 
     seeds = range(args.seed_base, args.seed_base + args.seeds)
     specs = specs_for(seeds, args.ops, profile=args.profile,
-                      page_sizes=page_sizes, modes=modes, options=options)
+                      page_sizes=args.page_sizes, modes=args.modes,
+                      options=options)
 
     def progress(event):
         if args.quiet:
@@ -491,8 +482,8 @@ def cmd_fuzz(args, out, err):
     report = campaign.run(specs, shard=shard)
 
     print("Fuzz campaign [%s, %s, %s]: %d case(s), %d clean, %d failed "
-          "(%.2fs%s)" % (args.profile, "+".join(modes),
-                         ",".join(page_sizes), report.cases, report.clean,
+          "(%.2fs%s)" % (args.profile, "+".join(args.modes),
+                         ",".join(args.page_sizes), report.cases, report.clean,
                          len(report.failures), report.elapsed,
                          ", time budget exhausted"
                          if report.budget_exhausted else ""),
@@ -820,9 +811,11 @@ def build_parser():
                              help="guest ops per scenario")
     fuzz_parser.add_argument("--profile", choices=sorted(PROFILES),
                              default="default", help="scenario op-mix profile")
-    fuzz_parser.add_argument("--modes", default="native,nested,shadow,agile",
+    fuzz_parser.add_argument("--modes", type=_mode_list,
+                             default="native,nested,shadow,agile",
                              help="comma-separated modes compared in lockstep")
-    fuzz_parser.add_argument("--page-sizes", default="4K",
+    fuzz_parser.add_argument("--page-sizes", type=_page_size_list,
+                             default="4K",
                              help="comma-separated page sizes (4K,2M)")
     fuzz_parser.add_argument("--workers", type=_positive_int, default=1,
                              help="worker processes (1 = in-process serial)")

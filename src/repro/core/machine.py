@@ -151,74 +151,113 @@ class System(GuestPlatform):
 
     # -- the access path ---------------------------------------------------------
 
-    def _ctx_for(self, proc):
-        if self.vmm is not None:
-            return self.vmm.ctx_for(proc)
-        return self._native_ctxs[proc.pid]
-
     def access(self, va, is_write=False, kind="data"):
-        """One memory access by the current process.
+        """One memory access by the current process: a batch of one.
 
-        Models the full hardware/software dance: TLB probe, page walk,
-        guest faults resolved by the guest kernel, VM exits resolved by
-        the VMM, then the retry — charging cycles for each step.
+        Returns what translated ``va``: the TLB entry on a hit, the
+        :class:`~repro.hw.walkstats.WalkResult` on a walk (both carry
+        ``frame``).
         """
-        proc = self.kernel.current
-        if proc is None:
-            raise SimulationError("no runnable process")
-        self.ops += 1
-        if is_write:
-            self.writes += 1
-        else:
-            self.reads += 1
-        self.ideal_cycles += self.cost.cycles_per_op
-        self.clock.advance(self.cost.cycles_per_op)
-        ctx = self._ctx_for(proc)
-        for _attempt in range(MAX_FAULT_RETRIES):
-            try:
-                outcome = self.mmu.translate(ctx, va, is_write, kind)
-            except GuestPageFault as fault:
-                self._charge_refs(fault.refs)
-                self._handle_guest_fault(proc, va, fault.is_write)
-                continue
-            except HostPageFault as fault:
-                self._charge_refs(fault.refs)
-                self.vmm.handle_host_fault(proc, fault)
-                continue
-            except ShadowNotPresentFault as fault:
-                self._charge_refs(fault.refs)
-                if self.vmm.handle_shadow_fault(proc, fault) == "guest_fault":
+        return self.access_many((va,), (is_write,), kind)
+
+    def access_many(self, vas, writes, kind="data"):
+        """A stream of memory accesses by the current process.
+
+        ``writes`` holds one bool per address in ``vas``. Each access
+        models the full hardware/software dance: count the op and charge
+        its ideal cycles, probe the TLB, and on a usable hit charge the
+        hit; otherwise walk, resolve guest faults in the guest kernel and
+        VM exits in the VMM, and retry, charging cycles for each step.
+        Every ``POLICY_EPOCH_OPS`` accesses the periodic policy work runs.
+
+        The current process and its translation context are read once,
+        and again only after a TLB miss (its fault handling) or a policy
+        epoch, the only steps that can change them. Returns what
+        translated the last access, as :meth:`access` does.
+        """
+        # Fetched through the instance on every call, so wrappers
+        # installed on the built system see each probe and walk.
+        mmu = self.mmu
+        lookup = mmu.hierarchy.lookup
+        translate = mmu.translate
+        counters = mmu.counters
+        advance = self.clock.advance
+        tracer = self.tracer
+        tracing = tracer.enabled
+        cost = self.cost
+        cycles_per_op = cost.cycles_per_op
+        l1_hit_cycles = cost.cycles_tlb_l1_hit
+        l2_hit_cycles = cost.cycles_tlb_l2_hit
+        translated = None
+        stale = True
+        for va, is_write in zip(vas, writes):
+            if stale:
+                proc = self.kernel.current
+                if proc is None:
+                    raise SimulationError("no runnable process")
+                ctx = (self.vmm.ctx_for(proc) if self.vmm is not None
+                       else self._native_ctxs[proc.pid])
+                asid = ctx.asid
+                stale = False
+            self.ops += 1
+            if is_write:
+                self.writes += 1
+            else:
+                self.reads += 1
+            self.ideal_cycles += cycles_per_op
+            advance(cycles_per_op)
+            faults = 0
+            while True:
+                entry, level = lookup(asid, va, kind)
+                if entry is not None and (
+                        not is_write or (entry.writable and entry.dirty)):
+                    if tracing:
+                        tracer.tlb_hit(self.clock.now, level, asid)
+                    if level == "l1":
+                        counters.tlb_hits_l1 += 1
+                        if l1_hit_cycles:
+                            advance(l1_hit_cycles)
+                    else:
+                        counters.tlb_hits_l2 += 1
+                        self.tlb_l2_cycles += l2_hit_cycles
+                        advance(l2_hit_cycles)
+                    translated = entry
+                    break
+                stale = True
+                try:
+                    translated = translate(ctx, va, is_write, kind)
+                except GuestPageFault as fault:
+                    self._charge_refs(fault.refs)
                     self._handle_guest_fault(proc, va, fault.is_write)
-                continue
-            except ShadowProtectionFault as fault:
-                self._charge_refs(fault.refs)
-                if self.vmm.handle_shadow_protection(proc, fault) == "guest_fault":
-                    self._handle_guest_fault(proc, va, True)
-                continue
-            self._charge_translation(outcome)
+                except HostPageFault as fault:
+                    self._charge_refs(fault.refs)
+                    self.vmm.handle_host_fault(proc, fault)
+                except ShadowNotPresentFault as fault:
+                    self._charge_refs(fault.refs)
+                    if self.vmm.handle_shadow_fault(proc, fault) == "guest_fault":
+                        self._handle_guest_fault(proc, va, fault.is_write)
+                except ShadowProtectionFault as fault:
+                    self._charge_refs(fault.refs)
+                    if self.vmm.handle_shadow_protection(proc, fault) == "guest_fault":
+                        self._handle_guest_fault(proc, va, True)
+                else:
+                    self._charge_refs(translated.refs)
+                    break
+                faults += 1
+                if faults == MAX_FAULT_RETRIES:
+                    raise SimulationError(
+                        "translation livelock at va=%#x (pid %d, mode %s)"
+                        % (va, proc.pid, self.config.mode))
             self._epoch_ops += 1
             if self._epoch_ops >= POLICY_EPOCH_OPS:
                 self._policy_epoch()
-            return outcome
-        raise SimulationError(
-            "translation livelock at va=%#x (pid %d, mode %s)"
-            % (va, proc.pid, self.config.mode)
-        )
+                stale = True
+        return translated
 
     def _charge_refs(self, refs):
         cycles = refs * self.cost.cycles_per_walk_ref
         self.walk_cycles += cycles
         self.clock.advance(cycles)
-
-    def _charge_translation(self, outcome):
-        if outcome.hit_level == "l1":
-            if self.cost.cycles_tlb_l1_hit:
-                self.clock.advance(self.cost.cycles_tlb_l1_hit)
-        elif outcome.hit_level == "l2":
-            self.tlb_l2_cycles += self.cost.cycles_tlb_l2_hit
-            self.clock.advance(self.cost.cycles_tlb_l2_hit)
-        elif outcome.walk is not None:
-            self._charge_refs(outcome.walk.refs)
 
     def _handle_guest_fault(self, proc, va, is_write):
         self.guest_faults += 1
@@ -269,7 +308,12 @@ class System(GuestPlatform):
         is untouched — only counters restart, so metrics describe steady
         state rather than setup/warmup. The analogue of skipping the
         ramp-up phase when profiling a long-running workload.
+
+        Set-up and warm-up must conserve cycles as the measured window
+        does: a clock advance charged to no counter raises here, before
+        the counters that would show it are zeroed.
         """
+        self._check_conservation("measurement start")
         for name in _OWN_COUNTS:
             setattr(self, name, 0)
         self._idle_cycles = 0
@@ -343,7 +387,7 @@ class System(GuestPlatform):
                                e.writable, e.dirty)
                               for e in hierarchy.iter_entries()])
                      for shift, hierarchy
-                     in sorted(mmu.hierarchy.hierarchies.items())]),
+                     in mmu.hierarchy.hierarchies.items()]),
             ("pwc", pwc(mmu.pwc), pwc(mmu.host_pwc)),
             ("kernel", self.kernel._next_pid,
              self.kernel.current.pid if self.kernel.current else None),
@@ -433,9 +477,12 @@ class System(GuestPlatform):
         # A run's numbers are only worth reporting if the machine state
         # they came from is still coherent and every cycle is charged.
         self.check_invariants()
+        self._check_conservation("run end")
+        return self.snapshot(label)
+
+    def _check_conservation(self, when):
         gap = self.unattributed_cycles()
         if gap:
             raise SimulationError(
-                "%d cycles on the clock charged to no counter "
-                "(mode %s)" % (gap, self.config.mode))
-        return self.snapshot(label)
+                "%d cycles on the clock charged to no counter at %s "
+                "(mode %s)" % (gap, when, self.config.mode))

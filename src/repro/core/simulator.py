@@ -26,6 +26,10 @@ class MachineAPI:
     def access(self, va, is_write):
         return self.system.access(va, is_write=is_write)
 
+    def access_many(self, vas, writes):
+        """One access per address in ``vas``; ``writes`` marks the writes."""
+        return self.system.access_many(vas, writes)
+
     # -- "syscalls" -------------------------------------------------------------
 
     @property

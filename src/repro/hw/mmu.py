@@ -1,12 +1,14 @@
 """The memory-management unit: TLB hierarchy + walk engine + caches.
 
-``MMU.translate`` is the single hardware entry point the simulator core
-drives. It probes the TLB hierarchy, falls back to the mode-appropriate
-page walk, and fills the TLBs — propagating walker faults (guest faults
-and VM exits) to the caller, which models the OS/VMM handling them and
+The simulator core (``System.access_many``) probes ``MMU.hierarchy``
+itself and calls ``MMU.translate`` only when the probe gave no usable
+hit: the miss path, which runs the mode-appropriate page walk, counts
+it and fills the TLBs. Walker faults (guest faults and VM exits)
+propagate to the caller, which models the OS/VMM handling them and
 retrying, exactly as hardware re-executes the faulting instruction.
 """
 
+from repro.common.params import FOUR_KB
 from repro.hw.pwc import PageWalkCache
 from repro.hw.tlbhierarchy import MultiSizeTLB
 from repro.hw.walker import PageWalker
@@ -37,27 +39,14 @@ class MMUCounters:
         self.walks_by_depth = {0: 0, 1: 0, 2: 0, 3: 0, 4: 0, NESTED_FULL: 0}
 
 
-class TranslationOutcome:
-    """What one call to :meth:`MMU.translate` did."""
-
-    __slots__ = ("frame", "hit_level", "walk")
-
-    def __init__(self, frame, hit_level, walk):
-        self.frame = frame
-        self.hit_level = hit_level  # 'l1', 'l2', or None (walked)
-        self.walk = walk  # WalkResult or None on a TLB hit
-
-
 class MMU:
     """One core's translation hardware, configured per MachineConfig."""
 
     def __init__(self, config, host_mem, guest_mem=None):
         self.config = config
         self.page_size = config.page_size
-        sizes = {config.page_size, config.host_granule}
-        from repro.common.params import FOUR_KB
-
-        sizes.add(FOUR_KB)  # broken-down entries always need a 4K array
+        # Broken-down entries always need a 4K array.
+        sizes = {config.page_size, config.host_granule, FOUR_KB}
         self.hierarchy = MultiSizeTLB(config.tlbs, sizes, primary=config.page_size)
         self.pwc = (
             PageWalkCache(config.pwc.entries_per_table)
@@ -82,23 +71,15 @@ class MMU:
         self.clock = None
 
     def translate(self, ctx, va, is_write=False, kind="data"):
-        """Translate ``va``; may raise a guest fault or VM exit.
+        """The TLB-miss path: walk for ``va``, count the walk, fill the TLBs.
 
-        A write through a clean or read-only TLB entry re-walks so dirty
-        bits get set (and protection faults surface), mirroring x86.
+        Returns the :class:`~repro.hw.walkstats.WalkResult`; may raise a
+        guest fault or VM exit. The caller probes the TLB first and comes
+        here on a miss, or for a write through a clean or read-only entry,
+        which re-walks so dirty bits get set (and protection faults
+        surface), mirroring x86.
         """
-        entry, level = self.hierarchy.lookup(ctx.asid, va, kind)
         tracer = self.tracer
-        if entry is not None:
-            if not is_write or (entry.writable and entry.dirty):
-                if level == "l1":
-                    self.counters.tlb_hits_l1 += 1
-                else:
-                    self.counters.tlb_hits_l2 += 1
-                if tracer.enabled:
-                    tracer.tlb_hit(self.clock.now if self.clock else 0,
-                                   level, ctx.asid)
-                return TranslationOutcome(entry.frame, level, None)
         try:
             result = self.walker.walk(va, ctx, is_write)
         except Exception as fault:
@@ -117,7 +98,7 @@ class MMU:
             self.miss_hook(va, result)
         self.hierarchy.fill(ctx.asid, va, result.frame, result.writable,
                             result.dirty, result.page_shift, kind)
-        return TranslationOutcome(result.frame, None, result)
+        return result
 
     # -- shootdown interface used by the OS and VMM -------------------------
 

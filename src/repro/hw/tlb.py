@@ -56,7 +56,7 @@ class TLB:
         A hit becomes the set's most recently used entry.
         """
         vpn = va >> self.page_shift
-        entries = self._set_for(vpn)
+        entries = self._sets[vpn % self.num_sets]
         key = (asid, vpn)
         entry = entries.get(key)
         if entry is not None:

@@ -2,8 +2,8 @@
 
 One hierarchy instance serves one translation granule (the paper runs
 each experiment with a single page size used at both translation levels,
-Section VI). Lookups probe L1 then L2; fills populate both; all
-invalidations are broadcast.
+Section VI). Fills populate L1 and L2; all invalidations are broadcast.
+:meth:`MultiSizeTLB.lookup` probes every granule's L1 then L2.
 """
 
 from repro.hw.tlb import TLB, TLBEntry
@@ -32,21 +32,6 @@ class TLBHierarchy:
         if kind == "inst" and self.l1i is not None:
             return self.l1i
         return self.l1d
-
-    def lookup(self, asid, va, kind="data"):
-        """Probe L1 then L2. Returns (entry, level) with level in
-        {"l1", "l2", None}."""
-        l1 = self._l1_for(kind)
-        entry = l1.lookup(asid, va)
-        if entry is not None:
-            return entry, "l1"
-        if self.l2 is not None:
-            entry = self.l2.lookup(asid, va)
-            if entry is not None:
-                # Promote into L1, as hardware does.
-                l1.insert(entry)
-                return entry, "l2"
-        return None, None
 
     def fill(self, asid, va, frame, writable, dirty, kind="data"):
         """Install a fresh translation into L1 (+L2)."""
@@ -109,22 +94,40 @@ class MultiSizeTLB:
     """
 
     def __init__(self, config, page_sizes, primary):
+        # Built in ascending-granule order, so iteration (entries,
+        # flushes) does not depend on the order of ``page_sizes``.
         self.hierarchies = {}
-        for page_size in page_sizes:
+        for page_size in sorted(page_sizes, key=lambda size: size.shift):
             if page_size.name in config.l1d:
                 self.hierarchies[page_size.shift] = TLBHierarchy(config, page_size)
         if primary.shift not in self.hierarchies:
             raise ValueError("no TLB geometry for primary size %s" % primary)
         self.primary_shift = primary.shift
         # Probe order: the run's dominant granule first.
-        self._order = sorted(self.hierarchies,
-                             key=lambda s: (s != primary.shift, s))
+        self._probes = [
+            (hierarchy.l1d, hierarchy.l1i, hierarchy.l2)
+            for _shift, hierarchy in sorted(
+                self.hierarchies.items(),
+                key=lambda item: (item[0] != primary.shift, item[0]))]
 
     def lookup(self, asid, va, kind="data"):
-        for shift in self._order:
-            entry, level = self.hierarchies[shift].lookup(asid, va, kind)
+        """Probe each granule's L1 then L2, the primary granule first.
+
+        Returns ``(entry, level)`` with level in {"l1", "l2", None}. A hit
+        becomes its set's most recently used entry; an L2 hit is also
+        promoted into L1, as hardware does.
+        """
+        for l1, l1i, l2 in self._probes:
+            if kind == "inst" and l1i is not None:
+                l1 = l1i
+            entry = l1.lookup(asid, va)
             if entry is not None:
-                return entry, level
+                return entry, "l1"
+            if l2 is not None:
+                entry = l2.lookup(asid, va)
+                if entry is not None:
+                    l1.insert(entry)
+                    return entry, "l2"
         return None, None
 
     def fill(self, asid, va, frame, writable, dirty, page_shift, kind="data"):

@@ -8,6 +8,8 @@ operation stream on every configuration — the property the paper's
 two-step methodology (and any fair cross-mode comparison) relies on.
 """
 
+from itertools import repeat
+
 import numpy as np
 
 from repro.common.params import FOUR_KB
@@ -60,19 +62,17 @@ class Workload:
 
     def region_access(self, api, base, page_indices, write_mask=None):
         """Issue one access per page index; ``write_mask`` marks writes."""
-        granule = self.granule
-        if write_mask is None:
-            for index in page_indices:
-                api.read(base + int(index) * granule)
-        else:
-            for index, is_write in zip(page_indices, write_mask):
-                api.access(base + int(index) * granule, bool(is_write))
+        vas = (base + self.granule
+               * np.asarray(page_indices, dtype=np.int64)).tolist()
+        writes = (repeat(False) if write_mask is None
+                  else np.asarray(write_mask, dtype=bool).tolist())
+        api.access_many(vas, writes)
 
     def warm_region(self, api, base, npages, write=True):
         """Touch every page once (demand-fault the region in)."""
         granule = self.granule
-        for index in range(npages):
-            api.access(base + index * granule, write)
+        api.access_many(range(base, base + npages * granule, granule),
+                        repeat(write))
 
     def __repr__(self):
         return "%s(ops=%d, seed=%r)" % (type(self).__name__, self.ops, self.seed)

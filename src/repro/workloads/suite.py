@@ -32,6 +32,8 @@ Methodology notes (also in DESIGN.md):
   cycles yet shadow-paging overhead tops out around 57% (dedup).
 """
 
+from itertools import repeat
+
 import numpy as np
 
 from repro.workloads.base import Workload
@@ -69,8 +71,7 @@ class SuiteWorkload(Workload):
         daemon = api.spawn(code_pages=2)
         api.switch_to(daemon)
         daemon_heap = api.mmap(4 * self.granule)
-        for i in range(4):
-            api.write(daemon_heap + i * self.granule)
+        self.warm_region(api, daemon_heap, 4, write=True)
         api.switch_to(main_proc)
         self.warm_and_settle(api, state)
         api.start_measurement()
@@ -158,8 +159,7 @@ class MemcachedLike(SuiteWorkload):
                 api.munmap(slabs.pop(0), self.slab_pages * self.granule)
             slab = api.mmap(self.slab_pages * self.granule, kind="slab")
             slabs.append(slab)
-            for i in range(self.slab_pages):
-                api.write(slab + i * self.granule)
+            self.warm_region(api, slab, self.slab_pages, write=True)
             api.reclaim(1)
 
 
@@ -241,8 +241,7 @@ class GccLike(SuiteWorkload):
         if done and done % self.buffer_period < BATCH:
             # A compilation phase: allocate, fill, discard a work buffer.
             work = api.mmap(self.buffer_pages * self.granule, kind="work")
-            for i in range(self.buffer_pages):
-                api.write(work + i * self.granule)
+            self.warm_region(api, work, self.buffer_pages, write=True)
             api.munmap(work, self.buffer_pages * self.granule)
         if done and done % self.child_period < BATCH:
             # A short-lived helper process (cpp/as in a real build).
@@ -320,12 +319,14 @@ class TigrLike(SuiteWorkload):
         base = state["base"]
         sampler = state["sampler"]
         half = n // 2
+        scan = []
         for _i in range(half):
             if state["scan_left"] == 0:
                 state["scan_page"] = int(state["scan"].sample(1)[0])
                 state["scan_left"] = self.accesses_per_page
             state["scan_left"] -= 1
-            api.read(base + state["scan_page"] * self.granule)
+            scan.append(base + state["scan_page"] * self.granule)
+        api.access_many(scan, repeat(False))
         indices = sampler.sample(n - half)
         writes = self.rng.random(n - half) < self.write_fraction
         self.region_access(api, base, indices, writes)
@@ -390,17 +391,15 @@ class DedupLike(SuiteWorkload):
         )
         state["chunk_index"] += 1
         chunk = state["base"] + offset * self.granule
-        for i in range(self.chunk_pages):
-            api.write(chunk + i * self.granule)
+        self.warm_region(api, chunk, self.chunk_pages, write=True)
         api.dedup(chunk, self.chunk_pages * self.granule, group=2)
         # Consumer emits compressed output (a context-switch pair).
         api.switch_to(state["consumer"])
-        for index in state["out_scan"].sample(4):
-            api.write(state["out"] + int(index) * self.granule)
+        out = state["out"] + self.granule * state["out_scan"].sample(4)
+        api.access_many(out.tolist(), repeat(True))
         api.switch_to(state["producer"])
         # Rewrites break the sharing the scanner just created.
-        for i in range(self.chunk_pages):
-            api.write(chunk + i * self.granule)
+        self.warm_region(api, chunk, self.chunk_pages, write=True)
 
 
 SUITE = (

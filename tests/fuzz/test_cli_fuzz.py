@@ -35,15 +35,17 @@ def _break_walker(monkeypatch):
 
 
 class TestArgumentValidation:
-    def test_unknown_mode_exits_2(self):
-        code, _out, err = run_cli_streams(["fuzz", "--modes", "native,warp"])
-        assert code == 2
-        assert "unknown mode" in err
+    def test_unknown_mode_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli_streams(["fuzz", "--modes", "native,warp"])
+        assert exc.value.code == 2
+        assert "unknown mode 'warp'" in capsys.readouterr().err
 
-    def test_unknown_page_size_exits_2(self):
-        code, _out, err = run_cli_streams(["fuzz", "--page-sizes", "5G"])
-        assert code == 2
-        assert "unknown page size" in err
+    def test_unknown_page_size_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli_streams(["fuzz", "--page-sizes", "5G"])
+        assert exc.value.code == 2
+        assert "unknown page size '5G'" in capsys.readouterr().err
 
     def test_bad_shard_exits_2(self):
         code, _out, err = run_cli_streams(CLEAN + ["--shard", "9/3"])

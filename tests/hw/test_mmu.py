@@ -18,17 +18,20 @@ def native_mmu():
 
 
 class TestTranslatePath:
+    """``translate`` is the miss path: walk, count, fill. The caller
+    (``System.access_many``) probes ``mmu.hierarchy`` first."""
+
     def test_miss_then_hit(self):
         mmu, mem, table = native_mmu()
         frame = mem.alloc_data_page()
         table.map(VA, frame, dirty=True)
         ctx = native_ctx(table)
+        assert mmu.hierarchy.lookup(ctx.asid, VA) == (None, None)
         first = mmu.translate(ctx, VA)
-        assert first.hit_level is None
         assert first.frame == frame
-        second = mmu.translate(ctx, VA)
-        assert second.hit_level == "l1"
-        assert mmu.counters.tlb_hits_l1 == 1
+        entry, level = mmu.hierarchy.lookup(ctx.asid, VA)
+        assert level == "l1"
+        assert entry.frame == frame
         assert mmu.counters.tlb_misses == 1
 
     def test_write_through_clean_entry_rewalks(self):
@@ -37,19 +40,22 @@ class TestTranslatePath:
         table.map(VA, frame)
         ctx = native_ctx(table)
         mmu.translate(ctx, VA, is_write=False)  # fills clean entry
-        outcome = mmu.translate(ctx, VA, is_write=True)
-        assert outcome.hit_level is None  # had to re-walk to set dirty
+        entry, _level = mmu.hierarchy.lookup(ctx.asid, VA)
+        assert not entry.dirty  # no usable hit for a write: re-walk
+        mmu.translate(ctx, VA, is_write=True)
         assert mmu.counters.tlb_misses == 2
         pte, _ = table.lookup(VA)
         assert pte.dirty
+        assert mmu.hierarchy.lookup(ctx.asid, VA)[0].dirty
 
     def test_write_after_upgrade_hits(self):
         mmu, mem, table = native_mmu()
         table.map(VA, mem.alloc_data_page())
         ctx = native_ctx(table)
         mmu.translate(ctx, VA, is_write=True)
-        outcome = mmu.translate(ctx, VA, is_write=True)
-        assert outcome.hit_level == "l1"
+        entry, level = mmu.hierarchy.lookup(ctx.asid, VA)
+        assert level == "l1"
+        assert entry.writable and entry.dirty
 
     def test_fault_counts_partial_refs(self):
         mmu, mem, table = native_mmu()
@@ -64,10 +70,8 @@ class TestTranslatePath:
         table.map(VA, mem.alloc_data_page(), dirty=True)
         seen = []
         mmu.miss_hook = lambda va, result: seen.append((va, result.refs))
-        mmu.translate(ctx := native_ctx(table), VA)
-        mmu.translate(ctx, VA)  # hit: no hook
-        assert len(seen) == 1
-        assert seen[0][0] == VA
+        mmu.translate(native_ctx(table), VA)
+        assert seen == [(VA, mmu.counters.walk_refs)]
 
 
 class TestAgileDepthAccounting:
@@ -99,8 +103,7 @@ class TestInvalidation:
         ctx = native_ctx(table)
         mmu.translate(ctx, VA)
         mmu.invalidate_page(ctx.asid, VA)
-        outcome = mmu.translate(ctx, VA)
-        assert outcome.hit_level is None
+        assert mmu.hierarchy.lookup(ctx.asid, VA) == (None, None)
 
     def test_flush_all(self):
         mmu, mem, table = native_mmu()
@@ -108,7 +111,7 @@ class TestInvalidation:
         ctx = native_ctx(table)
         mmu.translate(ctx, VA)
         mmu.flush_all()
-        assert mmu.translate(ctx, VA).hit_level is None
+        assert mmu.hierarchy.lookup(ctx.asid, VA) == (None, None)
 
     def test_avg_refs_property(self):
         mmu, mem, table = native_mmu()

@@ -63,3 +63,20 @@ class TestInvalidation:
         tlb.flush()
         assert tlb.lookup(1, 0x1000) == (None, None)
         assert list(tlb.iter_entries()) == []
+
+
+class TestOrder:
+    def test_hierarchy_order_does_not_depend_on_the_size_order(self):
+        # Built from a set, the arrays once followed the hash seed.
+        orders = [list(MultiSizeTLB(sandy_bridge_tlbs(), sizes,
+                                    primary=TWO_MB).hierarchies)
+                  for sizes in ([FOUR_KB, TWO_MB], [TWO_MB, FOUR_KB])]
+        assert orders == [[12, 21], [12, 21]]
+
+    def test_lookup_probes_the_primary_granule_first(self):
+        tlb = MultiSizeTLB(sandy_bridge_tlbs(), [FOUR_KB, TWO_MB],
+                           primary=TWO_MB)
+        tlb.fill(1, 0, frame=7, writable=True, dirty=True, page_shift=12)
+        tlb.fill(1, 0, frame=512, writable=True, dirty=True, page_shift=21)
+        entry, level = tlb.lookup(1, 0)
+        assert (entry.page_shift, entry.frame, level) == (21, 512, "l1")

@@ -215,12 +215,12 @@ CODE_SITES = (
     )),
     ("unattributed advance", (
         ("core/machine.py",
-         "        self.ideal_cycles += self.cost.cycles_per_op\n", ""),
+         "            self.ideal_cycles += cycles_per_op\n", ""),
         ("core/machine.py",
          "        self.walk_cycles += cycles\n        self.clock.advance(cycles)\n"
          "\n", "        self.clock.advance(cycles)\n\n"),
         ("core/machine.py",
-         "            self.tlb_l2_cycles += self.cost.cycles_tlb_l2_hit\n", ""),
+         "                        self.tlb_l2_cycles += l2_hit_cycles\n", ""),
         ("core/machine.py",
          "        self.guest_fault_cycles += self.cost.guest_fault_cycles\n", ""),
         ("core/machine.py", "    def _policy_epoch(self):\n",

@@ -5,11 +5,13 @@ healthy simulated machine and asserts the checker names the violated
 invariant and carries enough walk context to debug it.
 """
 
+from itertools import repeat
+
 import pytest
 
 from repro.common.config import sandy_bridge_config
 from repro.core.machine import System
-from repro.core.simulator import Simulator
+from repro.core.simulator import MachineAPI, Simulator
 from repro.hw.tlb import TLBEntry
 from repro.vmm.invariants import (
     NESTED_SUBTREES,
@@ -97,16 +99,25 @@ class TestShadowCoherence:
         assert excinfo.value.invariant in (SHADOW_COHERENCE, TLB_COHERENCE)
 
     def test_overbroad_write_permission_is_detected(self):
-        system = run_agile()
-        state = shadowed_state(system)
-        manager = state.manager
-        for va, spte, _level in manager.spt.iter_leaves():
-            if not spte.writable:
-                spte.writable = True
-                spte.dirty = True
-                break
-        else:
-            pytest.skip("no read-only shadow leaf in this run")
+        # Write a region, make it read-only, let the policy revert its
+        # subtree to shadow mode, then read it: the fills are read-only
+        # shadow leaves.
+        system = System(sandy_bridge_config(mode="agile", paranoid=True))
+        api = MachineAPI(system)
+        api.spawn()
+        size = 8 * 4096
+        base = api.mmap(size)
+        pages = range(base, base + size, 4096)
+        api.access_many(pages, repeat(True))
+        api.mprotect(base, size, writable=False)
+        api.settle()
+        api.access_many(pages, repeat(False))
+        manager = system.vmm.states[api.current.pid].manager
+        read_only = [spte for va, spte, _level in manager.spt.iter_leaves()
+                     if base <= va < base + size and not spte.writable]
+        assert len(read_only) == 8
+        system.check_invariants()
+        read_only[0].writable = True
         with pytest.raises(InvariantViolation) as excinfo:
             system.check_invariants()
         assert excinfo.value.invariant == SHADOW_COHERENCE

@@ -48,7 +48,7 @@ class TestRevertRebuild:
         # The walk crossed into nested mode via an SB installed by the
         # rebuild, with no shadow-fill trap.
         assert system.vmm.traps.count(T.SHADOW_FILL) == 0
-        assert outcome.walk is None or outcome.walk.nested_levels >= 1
+        assert outcome.nested_levels >= 1  # the flushed TLB forced a walk
 
     def test_policy_reversion_charges_background_work(self):
         system, api, proc, manager, base = build_switched_system()

@@ -43,6 +43,7 @@ class TestTrapStats:
         system = System(sandy_bridge_config(mode="shadow"))
         stats = system.vmm.traps
         stats.record(T.INVLPG, 1200)
+        system.clock.advance(1200)  # charged, as VMM._trap charges it
         snap = system.snapshot()
         snap.trap_counts[T.INVLPG] = 999
         assert stats.count(T.INVLPG) == 1
