@@ -102,7 +102,6 @@ class MultiSizeTLB:
                 self.hierarchies[page_size.shift] = TLBHierarchy(config, page_size)
         if primary.shift not in self.hierarchies:
             raise ValueError("no TLB geometry for primary size %s" % primary)
-        self.primary_shift = primary.shift
         # Probe order: the run's dominant granule first.
         self._probes = [
             (hierarchy.l1d, hierarchy.l1i, hierarchy.l2)

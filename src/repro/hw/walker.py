@@ -84,8 +84,8 @@ class PageWalker:
     Time accounting: the walker never advances a clock. It *counts*
     memory references in its :class:`~repro.hw.walkstats.WalkResult`,
     and ``System._charge_refs`` converts those counts to cycles on the
-    machine's own (guest) clock, charging
-    ``walk_cycles`` — one charging surface, not one per walk flavor, so
+    machine's own (guest) clock, charging ``walk_cycles`` — one
+    charging surface, not one per walk flavor, so
     ``System.collect_metrics``'s cycle-conservation check covers every
     walk. The only clock use here is the read-only trace timestamp in
     :meth:`_pwc_probe`.

@@ -62,6 +62,7 @@ class Workload:
 
     def region_access(self, api, base, page_indices, write_mask=None):
         """Issue one access per page index; ``write_mask`` marks writes."""
+        # Addresses fit in 48 bits, so int64 arithmetic is exact.
         vas = (base + self.granule
                * np.asarray(page_indices, dtype=np.int64)).tolist()
         writes = (repeat(False) if write_mask is None
