@@ -170,10 +170,14 @@ class System(GuestPlatform):
         VM exits in the VMM, and retry, charging cycles for each step.
         Every ``POLICY_EPOCH_OPS`` accesses the periodic policy work runs.
 
-        The current process and its translation context are read once,
-        and again only after a TLB miss (its fault handling) or a policy
-        epoch, the only steps that can change them. Returns what
-        translated the last access, as :meth:`access` does.
+        The current process is read once per batch: no step of an access
+        switches processes. Its translation context is read again after
+        each handled fault, before the retry, and after each policy
+        epoch, the only steps that change it: a fault's guest page-table
+        write can trip the write policy and move the guest root to nested
+        mode, and an epoch can revert it or start shadow coverage. A walk
+        that faults nowhere changes nothing there. Returns what translated
+        the last access, as :meth:`access` does.
         """
         # Fetched through the instance on every call, so wrappers
         # installed on the built system see each probe and walk.
@@ -188,17 +192,15 @@ class System(GuestPlatform):
         cycles_per_op = cost.cycles_per_op
         l1_hit_cycles = cost.cycles_tlb_l1_hit
         l2_hit_cycles = cost.cycles_tlb_l2_hit
+        vmm = self.vmm
+        proc = self.kernel.current
+        if proc is None:
+            raise SimulationError("no runnable process")
+        ctx = (vmm.ctx_for(proc) if vmm is not None
+               else self._native_ctxs[proc.pid])
+        asid = ctx.asid
         translated = None
-        stale = True
         for va, is_write in zip(vas, writes):
-            if stale:
-                proc = self.kernel.current
-                if proc is None:
-                    raise SimulationError("no runnable process")
-                ctx = (self.vmm.ctx_for(proc) if self.vmm is not None
-                       else self._native_ctxs[proc.pid])
-                asid = ctx.asid
-                stale = False
             self.ops += 1
             if is_write:
                 self.writes += 1
@@ -223,7 +225,6 @@ class System(GuestPlatform):
                         advance(l2_hit_cycles)
                     translated = entry
                     break
-                stale = True
                 try:
                     translated = translate(ctx, va, is_write, kind)
                 except GuestPageFault as fault:
@@ -231,14 +232,14 @@ class System(GuestPlatform):
                     self._handle_guest_fault(proc, va, fault.is_write)
                 except HostPageFault as fault:
                     self._charge_refs(fault.refs)
-                    self.vmm.handle_host_fault(proc, fault)
+                    vmm.handle_host_fault(proc, fault)
                 except ShadowNotPresentFault as fault:
                     self._charge_refs(fault.refs)
-                    if self.vmm.handle_shadow_fault(proc, fault) == "guest_fault":
+                    if vmm.handle_shadow_fault(proc, fault) == "guest_fault":
                         self._handle_guest_fault(proc, va, fault.is_write)
                 except ShadowProtectionFault as fault:
                     self._charge_refs(fault.refs)
-                    if self.vmm.handle_shadow_protection(proc, fault) == "guest_fault":
+                    if vmm.handle_shadow_protection(proc, fault) == "guest_fault":
                         self._handle_guest_fault(proc, va, True)
                 else:
                     self._charge_refs(translated.refs)
@@ -248,10 +249,13 @@ class System(GuestPlatform):
                     raise SimulationError(
                         "translation livelock at va=%#x (pid %d, mode %s)"
                         % (va, proc.pid, self.config.mode))
+                if vmm is not None:
+                    ctx = vmm.ctx_for(proc)
             self._epoch_ops += 1
             if self._epoch_ops >= POLICY_EPOCH_OPS:
                 self._policy_epoch()
-                stale = True
+                if vmm is not None:
+                    ctx = vmm.ctx_for(proc)
         return translated
 
     def _charge_refs(self, refs):

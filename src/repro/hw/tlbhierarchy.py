@@ -102,12 +102,15 @@ class MultiSizeTLB:
                 self.hierarchies[page_size.shift] = TLBHierarchy(config, page_size)
         if primary.shift not in self.hierarchies:
             raise ValueError("no TLB geometry for primary size %s" % primary)
-        # Probe order: the run's dominant granule first.
-        self._probes = [
-            (hierarchy.l1d, hierarchy.l1i, hierarchy.l2)
-            for _shift, hierarchy in sorted(
-                self.hierarchies.items(),
-                key=lambda item: (item[0] != primary.shift, item[0]))]
+        # Probe order: the run's dominant granule first. Each access kind
+        # gets its (L1, L2) pairs once, chosen by the hierarchy's own rule.
+        ordered = [hierarchy for _shift, hierarchy in sorted(
+            self.hierarchies.items(),
+            key=lambda item: (item[0] != primary.shift, item[0]))]
+        self._probes = {
+            kind: [(hierarchy._l1_for(kind), hierarchy.l2)
+                   for hierarchy in ordered]
+            for kind in ("data", "inst")}
 
     def lookup(self, asid, va, kind="data"):
         """Probe each granule's L1 then L2, the primary granule first.
@@ -116,9 +119,7 @@ class MultiSizeTLB:
         becomes its set's most recently used entry; an L2 hit is also
         promoted into L1, as hardware does.
         """
-        for l1, l1i, l2 in self._probes:
-            if kind == "inst" and l1i is not None:
-                l1 = l1i
+        for l1, l2 in self._probes[kind]:
             entry = l1.lookup(asid, va)
             if entry is not None:
                 return entry, "l1"

@@ -111,3 +111,37 @@ def test_the_script_raises_every_fault_kind():
         raised |= run(mode, FOUR_KB, batched=True)[2]
     assert raised == {"GuestPageFault", "HostPageFault",
                       "ShadowNotPresentFault", "ShadowProtectionFault"}
+
+
+@pytest.mark.parametrize("page_size", (FOUR_KB, TWO_MB), ids=("4K", "2M"))
+def test_a_fault_that_moves_the_root_to_nested_is_seen_by_the_retry(page_size):
+    """A guest fault inside a batch switches the guest root to nested.
+
+    Touching regions in two fresh root slots makes the guest kernel
+    write two new root entries; both are mediated, so the write policy
+    moves the root to nested mode while the second fault is handled. The
+    retry must walk with the re-read context (root switched); walking
+    with the stale one misses the cleared shadow root until the livelock
+    error.
+    """
+    system = System(sandy_bridge_config(mode="agile", page_size=page_size))
+    api = MachineAPI(system)
+    api.spawn()
+    granule = page_size.bytes
+    near = api.mmap(4 * granule)
+    api.mmap(1 << 39)  # skip to the next root slot
+    far1 = api.mmap(4 * granule)
+    api.mmap(1 << 39)
+    far2 = api.mmap(4 * granule)
+    vas = [near + page * granule for page in range(4)]
+    vas += [far1, far2, far1 + granule, far2 + granule, near]
+    manager = system.vmm.states[api.current.pid].manager
+    assert not manager.root_switched
+    epoch_ops = system._epoch_ops
+    assert epoch_ops + len(vas) < POLICY_EPOCH_OPS  # no epoch in the batch
+
+    translated = api.access_many(vas, [True] * len(vas))
+
+    assert manager.root_switched
+    assert translated.frame is not None
+    assert system.ops == len(vas)
